@@ -9,9 +9,12 @@ in numpy. Within a chunk the index offsets stay below 2**20, every partial
 product fits a uint64 with room to spare, and the result is exact, which
 is what makes chunked scans independent of the chunk size.
 
-Truncating a step to 128 bits costs less than q * 2**-128 per evaluation;
-at the largest bound the precision guard admits this is far below the
-2**-32 the reported residuals are trusted to.
+Truncating a step to 128 bits costs less than 2**-128 per unit of q, and
+each chunk's anchor is built as truncated step times start, so the error
+grows like start * 2**-128. Near the top of the budget the precision
+guard admits (|q| up to 2**(bits-32), 2**160 at the default 192 bits)
+that is not below the 2**-32 the reported residuals are trusted to, and
+scans there can disagree with exact arithmetic; see ROADMAP item 2.
 """
 from __future__ import annotations
 
@@ -60,13 +63,6 @@ def frac_to_unit_float(v: int, bits: int) -> float:
     return k / _GRID_F
 
 
-def dist_to_float(v: int, bits: int) -> float:
-    """Distance of the scaled fraction v to the nearest integer, in [0, 1/2]."""
-    v %= 1 << bits
-    k = round_shift(v, bits - 53) % _GRID
-    return min(k, _GRID - k) / _GRID_F
-
-
 def eps_to_u64(eps: float) -> int:
     """Threshold eps as a count of 2**-64 units (nearest)."""
     u = round(Fraction(eps) * (1 << 64))
@@ -80,7 +76,7 @@ def step128(scaled: int, bits: int) -> int:
     return (scaled >> (bits - KERNEL_BITS)) % _MOD
 
 
-def offset128(value, bits: int = KERNEL_BITS) -> int:
+def offset128(value) -> int:
     """A target coordinate as a 128-bit fixed-point offset."""
     return to_scaled(value, KERNEL_BITS) % _MOD
 

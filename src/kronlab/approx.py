@@ -14,6 +14,7 @@ chunked exact scan through the fixed-point kernel.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -75,34 +76,31 @@ def _best_denominator(omega: PrecisionReal, n: int) -> int:
     has residual below resolution and wins.
     """
     best = 1
-    for _, q in _convergent_pairs(omega):
+    for _, _, q in _expansion(omega):
         if q > n:
             break
         best = q
     return best
 
 
-def _convergent_pairs(omega: PrecisionReal):
-    """Yield convergents (p, q) of the stored value until it is consumed.
+def _expansion(omega: PrecisionReal):
+    """Yield (a, p, q): each partial quotient of the stored value with its convergent.
 
     Stops after yielding the first convergent that matches the stored
     value to within 2**-(bits-8); for a rational descriptor that is the
     exact fraction, for an irrational one it marks the precision floor.
     """
     num, den = omega.scaled, 1 << omega.bits
-    scale = omega.scaled
-    unit = 1 << omega.bits
+    scale, unit = num, den
     p2, p1 = 0, 1
     q2, q1 = 1, 0
     while den > 0:
         a = num // den
         num, den = den, num - a * den
-        p = a * p1 + p2
-        q = a * q1 + q2
-        p2, p1 = p1, p
-        q2, q1 = q1, q
-        yield p, q
-        if abs(scale * q - p * unit) < q * 256:
+        p2, p1 = p1, a * p1 + p2
+        q2, q1 = q1, a * q1 + q2
+        yield a, p1, q1
+        if abs(scale * q1 - p1 * unit) < q1 * 256:
             return
 
 
@@ -130,25 +128,12 @@ def continued_fraction(omega: PrecisionReal, terms: int) -> ContinuedFraction:
     """
     if terms < 1:
         raise ValueError(f"need at least one term, got {terms}")
-    num, den = omega.scaled, 1 << omega.bits
-    scale, unit = num, den
-    p2, p1 = 0, 1
-    q2, q1 = 1, 0
-    quotients: list[int] = []
-    convergents: list[tuple[int, int]] = []
-    rational = False
-    while den > 0 and len(quotients) < terms + 1:
-        a = num // den
-        num, den = den, num - a * den
-        p = a * p1 + p2
-        q = a * q1 + q2
-        p2, p1 = p1, p
-        q2, q1 = q1, q
-        quotients.append(a)
-        convergents.append((p, q))
-        if abs(scale * q - p * unit) < q * 256:
-            rational = True
-            break
+    expansion = _expansion(omega)
+    steps = list(itertools.islice(expansion, terms + 1))
+    # the expansion ends only after a convergent matching the stored value
+    rational = next(expansion, None) is None
+    quotients = [a for a, _, _ in steps]
+    convergents = [(p, q) for _, p, q in steps]
     if rational and len(quotients) >= 2 and quotients[-1] == 1:
         # the stored dyadic sits on the low side of the recognized
         # rational, splitting its last quotient as a-1, 1; merge back to

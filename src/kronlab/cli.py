@@ -20,6 +20,7 @@ from pathlib import Path
 
 import click
 
+from . import __version__
 from .approx import convergent_sequence, verify_sequence_properties
 from .dim import box_count, box_dimension_fit, diophantine_dimension_fit, theoretical_bounds, holder_bound
 from .errors import (
@@ -40,8 +41,6 @@ from .kron import (
 )
 from .torus import DEFAULT_BITS, FrequencyTuple, PrecisionReal, TorusPoint
 from ._fixedpoint import frac_to_unit_float
-
-TOOL_VERSION = "0.1.0"
 
 EXIT_VALIDATION = 2
 EXIT_PRECISION = 3
@@ -76,7 +75,7 @@ def _write_json(path: Path, payload):
 def _write_manifest(outdir: Path, command: str, options: dict):
     _write_json(outdir / "manifest.json", {
         "tool": "kronlab",
-        "version": TOOL_VERSION,
+        "version": __version__,
         "command": command,
         "options": options,
     })
@@ -205,6 +204,16 @@ def _run_scan(freq: str, theta: str | None, eps: str, precision: int,
     return EXIT_BUDGET if dirty else 0
 
 
+def _bound_bracket(m: int, n: int, nu: float, d: float) -> dict:
+    """Lower and upper dimension bounds; an undefined upper is None, with
+    upper_note saying why."""
+    try:
+        bb = theoretical_bounds(m, n, nu, d)
+    except BoundUndefinedError as exc:
+        return {"lower": (d - n) / n, "upper": None, "upper_note": str(exc)}
+    return {"lower": bb.lower, "upper": bb.upper}
+
+
 def _run_dimension(freq: str | None, theta: str | None, eps: str | None,
                    from_csv: str | None, m: int, n: int, nu: float,
                    d: float | None, precision: int, out: str, fmt: str,
@@ -237,21 +246,11 @@ def _run_dimension(freq: str | None, theta: str | None, eps: str | None,
     est = diophantine_dimension_fit(clean)
 
     ambient = (dims + n) if d is None else d
-    bracket: dict = {"m": dims, "n": n, "nu": nu, "d": ambient}
-    try:
-        bb = theoretical_bounds(dims, n, nu, ambient)
-        bracket["lower"] = bb.lower
-        bracket["upper"] = bb.upper
-    except BoundUndefinedError as exc:
-        bb = None
-        bracket["lower"] = (ambient - n) / n
-        bracket["upper"] = None
-        bracket["upper_note"] = str(exc)
+    bracket = {"m": dims, "n": n, "nu": nu, "d": ambient,
+               **_bound_bracket(dims, n, nu, ambient)}
     tol = 0.3
-    if bb is not None:
-        within = bb.lower - tol <= est.slope <= bb.upper + tol
-    else:
-        within = bracket["lower"] - tol <= est.slope
+    within = bracket["lower"] - tol <= est.slope and (
+        bracket["upper"] is None or est.slope <= bracket["upper"] + tol)
     _write_json(outdir / "estimate.json", {
         "slope": est.slope,
         "slope_lower": est.slope_lower,
@@ -309,16 +308,10 @@ def _run_bounds(m: int, n: int, nu: float, d: float | None, alpha: float,
                 out: str, fmt: str) -> int:
     outdir = _outdir(out)
     ambient = (m + n) if d is None else d
-    payload: dict = {"inputs": {"m": m, "n": n, "nu": nu, "d": ambient, "alpha": alpha}}
-    try:
-        bb = theoretical_bounds(m, n, nu, ambient)
-        payload["lower"] = bb.lower
-        payload["upper"] = bb.upper
-        payload["holder_upper"] = holder_bound(bb.upper, alpha)
-    except BoundUndefinedError as exc:
-        payload["lower"] = (ambient - n) / n
-        payload["upper"] = None
-        payload["upper_note"] = str(exc)
+    payload = {"inputs": {"m": m, "n": n, "nu": nu, "d": ambient, "alpha": alpha},
+               **_bound_bracket(m, n, nu, ambient)}
+    if payload["upper"] is not None:
+        payload["holder_upper"] = holder_bound(payload["upper"], alpha)
     _write_json(outdir / "bounds.json", payload)
     _write_manifest(outdir, "bounds", {
         "m": m, "n": n, "nu": nu, "d": d, "alpha": alpha, "out": out, "fmt": fmt,
@@ -410,7 +403,7 @@ def _with(options):
 @click.group(invoke_without_command=True)
 @click.option("--manifest", "manifest_path", default=None,
               help="replay a saved manifest.json instead of giving a command")
-@click.version_option(TOOL_VERSION, prog_name="kronlab")
+@click.version_option(__version__, prog_name="kronlab")
 @click.pass_context
 def main(ctx, manifest_path):
     """Integer solutions of torus approximation systems, measured."""

@@ -198,44 +198,45 @@ def inclusion_length_ladder(freq: FrequencyTuple, target: TorusPoint,
     return rows
 
 
-def _achieved_differences(solutions: np.ndarray) -> np.ndarray:
-    """Distinct positive pairwise differences of a sorted solution array."""
-    s = np.asarray(solutions, dtype=np.int64)
-    if len(s) * len(s) <= 4_000_000:
-        d = np.unique((s[None, :] - s[:, None]).ravel())
-        return d[d > 0]
-    # indicator autocorrelation; counts are small integers so the FFT
-    # round-trip identifies the support exactly
-    base = s - s[0]
-    width = int(base[-1]) + 1
-    ind = np.zeros(width)
-    ind[base] = 1.0
-    size = 1 << (2 * width - 1).bit_length()
-    f = np.fft.rfft(ind, size)
-    corr = np.fft.irfft(f * np.conj(f), size)[:width]
-    support = np.nonzero(np.rint(corr) > 0)[0].astype(np.int64)
-    return support[support > 0]
-
-
 def max_pair_residual(scan: GapScan) -> float:
     """Worst homogeneous residual over differences of scan solutions.
 
     Any two solutions are each within eps of the target, so their
     difference is a 2*eps almost period; this computes the observed
     maximum for checking that bound.
+
+    In coordinate j the difference of solutions a and b sits at x_b - x_a,
+    where x = q*omega_j - theta_j is a solution's exact signed displacement
+    in [-1/2, 1/2). With the displacements sorted, the partner of x_i
+    farthest from the lattice is the last x_k within 1/2 above it or the
+    first one beyond, so one two-pointer pass per coordinate finds the
+    worst pair without forming the difference set.
     """
-    diffs = _achieved_differences(scan.solutions)
-    if len(diffs) == 0:
-        return 0.0
-    kernel = _kernel_for(scan.instance.frequency)
-    worst_q, worst_u = int(diffs[0]), -1
-    for i in range(0, len(diffs), fx.CHUNK):
-        block = diffs[i:i + fx.CHUNK]
-        res = kernel.residuals_at(block)
-        j = int(np.argmax(res))
-        if int(res[j]) > worst_u:
-            worst_u, worst_q = int(res[j]), int(block[j])
-    return torus_norm(frac_mult(scan.instance.frequency, worst_q))
+    freq = scan.instance.frequency
+    sols = scan.solutions.tolist()
+    unit = 1 << freq.bits
+    half = unit >> 1
+    worst_d, worst_q = 0, 0
+    for c, theta in zip(freq.components, scan.instance.target):
+        t = fx.to_scaled(theta, freq.bits)
+        # solutions sharing a displacement are interchangeable here
+        owner = {(c.scaled * q - t + half) % unit - half: q for q in sols}
+        xs = sorted(owner)
+        last = len(xs) - 1
+        k = 0
+        for i, xi in enumerate(xs):
+            if k < i:
+                k = i
+            while k < last and xs[k + 1] - xi <= half:
+                k += 1
+            d = xs[k] - xi
+            if d > worst_d:
+                worst_d, worst_q = d, owner[xs[k]] - owner[xi]
+            if k < last:
+                d = unit - (xs[k + 1] - xi)
+                if d > worst_d:
+                    worst_d, worst_q = d, owner[xs[k + 1]] - owner[xi]
+    return torus_norm(frac_mult(freq, worst_q))
 
 
 @dataclass(frozen=True)

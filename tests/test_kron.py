@@ -26,7 +26,6 @@ from kronlab import (
     solve_in_interval,
     torus_norm,
 )
-from kronlab.kron import _achieved_differences
 
 GOLDEN_EPS06_SOLUTIONS = [
     0, 8, 13, 21, 34, 42, 47, 55, 68, 76, 89, 97, 102, 110, 123, 131, 136,
@@ -136,16 +135,6 @@ class TestPairResidual:
         assert worst <= 2 * 0.06 + 2.0 ** -31
         assert worst == pytest.approx(0.1114, abs=0.001)
 
-    def test_achieved_differences_fft_path_matches_direct(self):
-        rng = np.random.default_rng(7)
-        # 2100**2 > 4e6 forces the autocorrelation path
-        sols = np.unique(rng.integers(0, 60_000, size=2100)).astype(np.int64)
-        assert len(sols) * len(sols) > 4_000_000
-        got = _achieved_differences(sols)
-        want = np.unique((sols[None, :] - sols[:, None]).ravel())
-        want = want[want > 0]
-        assert np.array_equal(got, want)
-
     def test_single_solution_difference_set_empty(self, golden_freq):
         inst = KroneckerInstance.homogeneous(golden_freq, 0.06)
         scan = gap_scan(inst, 0, 200)
@@ -154,6 +143,20 @@ class TestPairResidual:
             solutions=np.asarray([0], dtype=np.int64),
             gaps=np.asarray([], dtype=np.int64), l_hat=0, truncated=False)
         assert max_pair_residual(lone) == 0.0
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("theta", [None, (0.3, 0.7, 0.15)])
+    @pytest.mark.parametrize("eps", [0.1, 0.2, 0.3, 0.45])
+    def test_matches_brute_force_over_pairs(self, m, theta, eps):
+        freq = FrequencyTuple.parse(["sqrt(2)-1", "sqrt(3)-1", "pi-3"][:m])
+        target = TorusPoint.from_values(theta[:m] if theta else [0] * m)
+        inst = KroneckerInstance(freq, target, eps)
+        # about 60 solutions, so the pair loop below stays small
+        scan = gap_scan(inst, -7, int(60 / (2 * eps) ** m))
+        sols = scan.solutions.tolist()
+        diffs = {b - a for i, a in enumerate(sols) for b in sols[i + 1:]}
+        want = max(torus_norm(frac_mult(freq, q)) for q in diffs)
+        assert max_pair_residual(scan) == want
 
 
 class TestWindowPolicy:
