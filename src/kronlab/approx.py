@@ -62,8 +62,8 @@ def dirichlet_search(freq: FrequencyTuple, Q) -> int:
     n = _window_bound(freq, Q)
     if len(freq) == 1 and n > CF_SCAN_CUTOFF:
         return _best_denominator(freq[0], n)
-    q, _ = fx.argmin_in(_kernel_for(freq), 1, n)
-    return int(q)
+    qs, _ = fx.record_lows(_kernel_for(freq), 1, n)
+    return int(qs[-1])
 
 
 def _best_denominator(omega: PrecisionReal, n: int) -> int:
@@ -198,12 +198,13 @@ def convergent_sequence(freq: FrequencyTuple, beta, K: int) -> ConvergentSequenc
             f"beta^K window {top} exceeds the declared q_max={freq.q_max}"
         )
 
-    if m == 1 and top > CF_SCAN_CUTOFF:
-        dens = [dirichlet_search(freq, c) for c in checkpoints]
-    else:
-        kernel = _kernel_for(freq)
-        dens = [q for q, _ in fx.argmin_prefixes(kernel, 1, checkpoints)]
-    dens = repair_monotone(dens)
+    # as in dirichlet_search, one frequency takes windows past the cutoff
+    # from its continued fraction; the rest share one record-low scan
+    cf = [c for c in checkpoints if m == 1 and c > CF_SCAN_CUTOFF]
+    scanned = checkpoints[:len(checkpoints) - len(cf)]
+    qs, _ = fx.record_lows(_kernel_for(freq), 1, max(scanned, default=0))
+    dens = qs[np.searchsorted(qs, scanned, side="right") - 1].tolist()
+    dens = repair_monotone(dens + [_best_denominator(freq[0], c) for c in cf])
 
     residuals = [torus_norm(frac_mult(freq, q)) for q in dens]
     floor_res = 2.0 ** -(freq.bits - 8)

@@ -14,6 +14,7 @@ budget refused, 4 scan budget exhausted (partial output still written),
 from __future__ import annotations
 
 import csv
+import inspect
 import json
 import sys
 from pathlib import Path
@@ -110,7 +111,7 @@ def _parse_floats(text: str) -> list[float]:
 
 # ---------------------------------------------------------------- runners
 # Each runner takes plain JSON-friendly keyword arguments (exactly what
-# the manifest stores) and returns an exit code.
+# the manifest stores; _execute writes it) and returns an exit code.
 
 def _run_convergents(freq: str, beta: float, k: int, precision: int,
                      out: str, fmt: str) -> int:
@@ -151,10 +152,6 @@ def _run_convergents(freq: str, beta: float, k: int, precision: int,
             "amplitude": diag.amplitude,
         })
     _write_json(outdir / "diagnostics.json", payload)
-    _write_manifest(outdir, "convergents", {
-        "freq": freq, "beta": beta, "k": k,
-        "precision": precision, "out": out, "fmt": fmt,
-    })
     click.echo(f"levels 1..{len(seq)}: q ends at {seq.denominators[-1]}, "
                f"c_hat={seq.c_hat}")
     return 0
@@ -192,11 +189,6 @@ def _run_scan(freq: str, theta: str | None, eps: str, precision: int,
              "window": list(r.window), "truncated": r.truncated}
             for r in rows
         ])
-    _write_manifest(outdir, "scan", {
-        "freq": freq, "theta": theta, "eps": eps, "precision": precision,
-        "out": out, "fmt": fmt, "seed_min": seed_min,
-        "seed_factor": seed_factor, "budget": budget,
-    })
     dirty = sum(1 for r in rows if r.truncated)
     for r in rows:
         state = "truncated" if r.truncated else "clean"
@@ -262,12 +254,6 @@ def _run_dimension(freq: str | None, theta: str | None, eps: str | None,
         "tolerance": tol,
         "verdict": "within" if within else "outside",
     })
-    _write_manifest(outdir, "dimension", {
-        "freq": freq, "theta": theta, "eps": eps, "from_csv": from_csv,
-        "m": m, "n": n, "nu": nu, "d": d, "precision": precision,
-        "out": out, "fmt": fmt, "seed_min": seed_min,
-        "seed_factor": seed_factor, "budget": budget,
-    })
     click.echo(f"slope {est.slope:.4f} "
                f"[{est.slope_lower:.4f}, {est.slope_upper:.4f}], "
                f"verdict: {'within' if within else 'outside'}")
@@ -296,10 +282,6 @@ def _run_orbit(matrix: str, lattice: str, count: int, step: float | None,
         "points_used": curve.points_used,
         "ambient_dim": curve.ambient_dim,
     })
-    _write_manifest(outdir, "orbit", {
-        "matrix": matrix, "lattice": lattice, "count": count, "step": step,
-        "scales": scales, "precision": precision, "out": out, "fmt": fmt,
-    })
     click.echo(f"{len(points)} points, slope {est.slope:.4f}")
     return 0
 
@@ -313,9 +295,6 @@ def _run_bounds(m: int, n: int, nu: float, d: float | None, alpha: float,
     if payload["upper"] is not None:
         payload["holder_upper"] = holder_bound(payload["upper"], alpha)
     _write_json(outdir / "bounds.json", payload)
-    _write_manifest(outdir, "bounds", {
-        "m": m, "n": n, "nu": nu, "d": d, "alpha": alpha, "out": out, "fmt": fmt,
-    })
     upper = payload["upper"]
     click.echo(f"lower {payload['lower']}, upper "
                f"{'undefined' if upper is None else upper}")
@@ -341,10 +320,6 @@ def _run_almost_period(freq: str, beta: float, k: int, k0: int, targets: str,
         "max_reeval_gap": record.max_reeval_gap,
         "consistent": record.consistent,
     })
-    _write_manifest(outdir, "almost-period", {
-        "freq": freq, "beta": beta, "k": k, "k0": k0, "targets": targets,
-        "nu": nu, "precision": precision, "out": out, "fmt": fmt,
-    })
     click.echo(f"k0={record.k0}: worst residual {record.max_residual}, "
                f"c2_hat={record.c2_hat}")
     return 0
@@ -361,9 +336,9 @@ _RUNNERS = {
 
 
 def _execute(command: str, options: dict):
-    runner = _RUNNERS[command]
+    """Run a command; on success or partial output, record its options."""
     try:
-        code = runner(**options)
+        code = _RUNNERS[command](**options)
     except (DescriptorError, RationalFrequencyError, ValueError) as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(EXIT_VALIDATION)
@@ -376,6 +351,7 @@ def _execute(command: str, options: dict):
     except (InsufficientDataError, WindowTooNarrowError) as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(EXIT_DATA)
+    _write_manifest(Path(options["out"]), command, options)
     if code:
         sys.exit(code)
 
@@ -412,12 +388,25 @@ def main(ctx, manifest_path):
     if manifest_path is None:
         click.echo(ctx.get_help())
         ctx.exit(0)
-    data = json.loads(Path(manifest_path).read_text())
-    if data.get("command") not in _RUNNERS:
-        click.echo(f"error: manifest names unknown command {data.get('command')!r}",
-                   err=True)
+    try:
+        data = json.loads(Path(manifest_path).read_text())
+    except (OSError, ValueError) as exc:
+        click.echo(f"error: cannot read manifest: {exc}", err=True)
         sys.exit(EXIT_VALIDATION)
-    _execute(data["command"], data["options"])
+    command = data.get("command") if isinstance(data, dict) else None
+    if not isinstance(command, str) or command not in _RUNNERS:
+        click.echo(f"error: manifest names unknown command {command!r}", err=True)
+        sys.exit(EXIT_VALIDATION)
+    options = data.get("options")
+    try:
+        if not isinstance(options, dict):
+            raise TypeError(
+                f"options must be a JSON object, not {type(options).__name__}")
+        inspect.signature(_RUNNERS[command]).bind(**options)
+    except TypeError as exc:
+        click.echo(f"error: manifest options for {command!r}: {exc}", err=True)
+        sys.exit(EXIT_VALIDATION)
+    _execute(command, options)
 
 
 @main.command("convergents")
@@ -425,10 +414,9 @@ def main(ctx, manifest_path):
 @click.option("--beta", default=2.0, show_default=True)
 @click.option("--k", default=12, show_default=True, help="number of levels")
 @_with(_common)
-def convergents_cmd(freq, beta, k, precision, out, fmt):
+def convergents_cmd(**options):
     """Build the geometric denominator ladder with its certificates."""
-    _execute("convergents", {"freq": freq, "beta": beta, "k": k,
-                             "precision": precision, "out": out, "fmt": fmt})
+    _execute("convergents", options)
 
 
 @main.command("scan")
@@ -439,12 +427,9 @@ def convergents_cmd(freq, beta, k, precision, out, fmt):
 @click.option("--seed-factor", default=50.0, show_default=True)
 @click.option("--budget", default=100_000_000, show_default=True)
 @_with(_common)
-def scan_cmd(freq, theta, eps, seed_min, seed_factor, budget, precision, out, fmt):
+def scan_cmd(**options):
     """Enumerate solutions per epsilon and measure inclusion lengths."""
-    _execute("scan", {"freq": freq, "theta": theta, "eps": eps,
-                      "precision": precision, "out": out, "fmt": fmt,
-                      "seed_min": seed_min, "seed_factor": seed_factor,
-                      "budget": budget})
+    _execute("scan", options)
 
 
 @main.command("dimension")
@@ -463,14 +448,9 @@ def scan_cmd(freq, theta, eps, seed_min, seed_factor, budget, precision, out, fm
 @click.option("--seed-factor", default=50.0, show_default=True)
 @click.option("--budget", default=100_000_000, show_default=True)
 @_with(_common)
-def dimension_cmd(freq, theta, eps, from_csv, m, n, nu, d, seed_min,
-                  seed_factor, budget, precision, out, fmt):
+def dimension_cmd(**options):
     """Fit the inclusion-length slope and compare to the bound bracket."""
-    _execute("dimension", {"freq": freq, "theta": theta, "eps": eps,
-                           "from_csv": from_csv, "m": m, "n": n, "nu": nu,
-                           "d": d, "precision": precision, "out": out,
-                           "fmt": fmt, "seed_min": seed_min,
-                           "seed_factor": seed_factor, "budget": budget})
+    _execute("dimension", options)
 
 
 @main.command("orbit")
@@ -484,11 +464,9 @@ def dimension_cmd(freq, theta, eps, from_csv, m, n, nu, d, seed_min,
 @click.option("--scales", default=DEFAULT_SCALES, show_default=False,
               help="comma-separated dyadic scales (default 2^-2..2^-8)")
 @_with(_common)
-def orbit_cmd(matrix, lattice, count, step, scales, precision, out, fmt):
+def orbit_cmd(**options):
     """Sample a matrix orbit on the torus and fit its box dimension."""
-    _execute("orbit", {"matrix": matrix, "lattice": lattice, "count": count,
-                       "step": step, "scales": scales,
-                       "precision": precision, "out": out, "fmt": fmt})
+    _execute("orbit", options)
 
 
 @main.command("bounds")
@@ -501,10 +479,9 @@ def orbit_cmd(matrix, lattice, count, step, scales, precision, out, fmt):
 @click.option("--out", default=".", show_default=True)
 @click.option("--format", "fmt", type=click.Choice(["csv", "json"]),
               default="json", show_default=True)
-def bounds_cmd(m, n, nu, d, alpha, out, fmt):
+def bounds_cmd(**options):
     """Evaluate the theoretical dimension bracket."""
-    _execute("bounds", {"m": m, "n": n, "nu": nu, "d": d, "alpha": alpha,
-                        "out": out, "fmt": fmt})
+    _execute("bounds", options)
 
 
 @main.command("almost-period")
@@ -515,11 +492,9 @@ def bounds_cmd(m, n, nu, d, alpha, out, fmt):
 @click.option("--targets", required=True, help="comma-separated real targets")
 @click.option("--nu", default=0.0, show_default=True)
 @_with(_common)
-def almost_period_cmd(freq, beta, k, k0, targets, nu, precision, out, fmt):
+def almost_period_cmd(**options):
     """Greedy almost periods for each target, with quality constants."""
-    _execute("almost-period", {"freq": freq, "beta": beta, "k": k, "k0": k0,
-                               "targets": targets, "nu": nu,
-                               "precision": precision, "out": out, "fmt": fmt})
+    _execute("almost-period", options)
 
 
 if __name__ == "__main__":

@@ -77,8 +77,6 @@ def solve_in_interval(inst: KroneckerInstance, a: int, b: int) -> int | None:
     """Smallest integer q in [a, b] solving the instance, or None."""
     a, b = int(a), int(b)
     _guard_window(inst.frequency, a, b)
-    if inst.epsilon >= 0.5:
-        return a
     kernel = _kernel_for(inst.frequency, inst.target)
     q = fx.first_solution(kernel, a, b, fx.eps_to_u64(inst.epsilon))
     return None if q is None else int(q)
@@ -105,11 +103,8 @@ class GapScan:
 def gap_scan(inst: KroneckerInstance, a: int, b: int) -> GapScan:
     a, b = int(a), int(b)
     _guard_window(inst.frequency, a, b)
-    if inst.epsilon >= 0.5:
-        sols = np.arange(a, b + 1, dtype=np.int64)
-    else:
-        kernel = _kernel_for(inst.frequency, inst.target)
-        sols = fx.solutions_in(kernel, a, b, fx.eps_to_u64(inst.epsilon))
+    kernel = _kernel_for(inst.frequency, inst.target)
+    sols = fx.solutions_in(kernel, a, b, fx.eps_to_u64(inst.epsilon))
     if len(sols) < 2:
         raise WindowTooNarrowError(
             f"window [{a}, {b}] holds {len(sols)} solution(s) at "
@@ -494,15 +489,12 @@ def matrix_solution_scan(matrix: FrequencyMatrix, target: TorusPoint, epsilon: f
     out: list[tuple[int, ...]] = []
     prefix_axes = [range(lo, hi + 1) for lo, hi in box[:-1]]
     for prefix in itertools.product(*prefix_axes):
-        if epsilon >= 0.5:
-            hits = np.arange(last_lo, last_hi + 1, dtype=np.int64)
-        else:
-            offsets = []
-            for j, row in enumerate(matrix.rows):
-                pref = sum(row[i].scaled * prefix[i] for i in range(matrix.n - 1)) % unit
-                offsets.append((theta_off[j] - fx.step128(pref, matrix.bits)) % (1 << 128))
-            kernel = fx.ResidualKernel(steps, offsets)
-            hits = fx.solutions_in(kernel, last_lo, last_hi, eps_u64)
+        offsets = []
+        for j, row in enumerate(matrix.rows):
+            pref = sum(row[i].scaled * prefix[i] for i in range(matrix.n - 1)) % unit
+            offsets.append((theta_off[j] - fx.step128(pref, matrix.bits)) % (1 << 128))
+        kernel = fx.ResidualKernel(steps, offsets)
+        hits = fx.solutions_in(kernel, last_lo, last_hi, eps_u64)
         out.extend(prefix + (int(q),) for q in hits)
     return out
 
@@ -531,37 +523,22 @@ def orbit_sample(matrix: FrequencyMatrix, lattice: str, count: int,
         side += 1
     while side > 1 and (side - 1) ** n >= count:
         side -= 1
-    if lattice == "integer" and side - 1 > matrix.q_max:
-        raise PrecisionBudgetError("sample cube exceeds the q_max budget")
-
-    unit = 1 << matrix.bits
-    points = []
     if lattice == "integer":
+        if side - 1 > matrix.q_max:
+            raise PrecisionBudgetError("sample cube exceeds the q_max budget")
+        bits = matrix.bits
         scaled_rows = [[c.scaled for c in row] for row in matrix.rows]
-        for vec in itertools.product(range(side), repeat=n):
-            coords = [
-                frac_to_unit_float(
-                    sum(s * v for s, v in zip(row, vec)) % unit, matrix.bits
-                )
-                for row in scaled_rows
-            ]
-            points.append(TorusPoint(coords))
-            if len(points) == count:
-                break
     else:
-        if step is None:
-            step = GOLDEN_CONJUGATE_STEP
-        st = fx.to_scaled(step, matrix.bits)
-        unit2 = 1 << (2 * matrix.bits)
+        # entry * step is exact as a product of two scaled integers, at 2 * bits
+        bits = 2 * matrix.bits
+        st = fx.to_scaled(GOLDEN_CONJUGATE_STEP if step is None else step, matrix.bits)
         scaled_rows = [[c.scaled * st for c in row] for row in matrix.rows]
-        for vec in itertools.product(range(side), repeat=n):
-            coords = [
-                frac_to_unit_float(
-                    sum(s * v for s, v in zip(row, vec)) % unit2, 2 * matrix.bits
-                )
-                for row in scaled_rows
-            ]
-            points.append(TorusPoint(coords))
-            if len(points) == count:
-                break
-    return points
+    unit = 1 << bits
+    vectors = itertools.islice(itertools.product(range(side), repeat=n), count)
+    return [
+        TorusPoint([
+            frac_to_unit_float(sum(s * v for s, v in zip(row, vec)) % unit, bits)
+            for row in scaled_rows
+        ])
+        for vec in vectors
+    ]

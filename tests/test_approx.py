@@ -1,4 +1,5 @@
 """Window argmins, continued fractions, and denominator ladders."""
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -40,12 +41,12 @@ class TestDirichletSearch:
 
     def test_cf_path_agrees_with_scan(self, golden_freq, sqrt2_freq):
         # just above the cutoff the continued fraction answers; compare
-        # against the kernel argmin over the same window
+        # against the last record low of a kernel scan over the same window
         n = CF_SCAN_CUTOFF + 1
         for freq in (golden_freq, sqrt2_freq):
             fast = dirichlet_search(freq, n)
-            slow, _ = fx.argmin_in(_kernel_for(freq), 1, n)
-            assert fast == int(slow)
+            qs, _ = fx.record_lows(_kernel_for(freq), 1, n)
+            assert fast == int(qs[-1])
 
     def test_pigeonhole_guarantee_small(self, pair_freq):
         for k in range(1, 13):
@@ -132,6 +133,16 @@ class TestConvergentSequence:
         assert all(a <= b for a, b in zip(dens, dens[1:]))
         for k in range(len(dens) - 1):
             assert seq.residuals[k] <= seq.c_hat * (1.0 / dens[k + 1]) ** 0.5
+
+    @pytest.mark.parametrize("beta, K", [(2.0, 20), (1.3, 40)])
+    def test_denominators_are_window_argmins(self, pair_freq, beta, K):
+        # each q_k is the earliest minimiser over the whole window [1, beta^k];
+        # at beta = 1.3 the windows repeat (1, 1, 2, 2, 3, ...)
+        seq = convergent_sequence(pair_freq, beta, K)
+        kernel = _kernel_for(pair_freq)
+        for k, q in enumerate(seq.denominators, start=1):
+            c = math.floor(Fraction(beta) ** k)
+            assert q == 1 + int(np.argmin(kernel.residuals(1, c)))
 
     def test_parameter_validation(self, golden_freq):
         with pytest.raises(ValueError):

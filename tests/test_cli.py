@@ -194,6 +194,27 @@ class TestManifestReplay:
         bad.write_text(json.dumps({"command": "launch", "options": {}}))
         assert run("--manifest", bad).exit_code == 2
 
+    def test_unreadable_manifest_rejected(self, tmp_path):
+        bad = tmp_path / "m.json"
+        bad.write_text('{"command": "bounds", "options": ')
+        assert run("--manifest", bad).exit_code == 2
+        assert run("--manifest", tmp_path / "absent.json").exit_code == 2
+
+    @pytest.mark.parametrize("options, message", [
+        ({"m": 2}, "missing a required argument"),
+        ({"m": 2, "n": 1, "nu": 0.0, "d": None, "alpha": 1.0, "out": ".",
+          "fmt": "json", "bogus": 1}, "unexpected keyword argument 'bogus'"),
+        (["--m", "2"], "must be a JSON object"),
+    ], ids=["missing-key", "unknown-key", "not-an-object"])
+    def test_malformed_options_rejected(self, tmp_path, monkeypatch, options, message):
+        monkeypatch.chdir(tmp_path)
+        bad = tmp_path / "m.json"
+        bad.write_text(json.dumps({"command": "bounds", "options": options}))
+        r = run("--manifest", bad)
+        assert r.exit_code == 2
+        assert message in r.output
+        assert not (tmp_path / "bounds.json").exists()
+
     def test_precision_exit_via_manifest_options(self, tmp_path):
         r = run("convergents", "--freq", "golden-1", "--precision", 64,
                 "--k", 40, "--out", tmp_path)

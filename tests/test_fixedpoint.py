@@ -118,24 +118,18 @@ def test_solutions_in_equals_brute_force(step, off, lo, width, eps_u64):
 @given(st.integers(min_value=1, max_value=MOD - 1),
        kernel_ints,
        st.integers(min_value=0, max_value=100),
-       st.integers(min_value=0, max_value=250))
-def test_argmin_in_earliest_tie(step, off, lo, width):
+       st.integers(min_value=0, max_value=250),
+       st.sampled_from([3, 7, fx.CHUNK]))
+def test_last_record_low_is_earliest_argmin(step, off, lo, width, chunk):
+    # short chunks carry the running best across chunk borders
     hi = lo + width
     kernel = fx.ResidualKernel([step], [off])
-    q, d = fx.argmin_in(kernel, lo, hi)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fx, "CHUNK", chunk)
+        qs, ds = fx.record_lows(kernel, lo, hi)
     dists = [ref_dist(step, off, x) for x in range(lo, hi + 1)]
-    assert d == min(dists)
-    assert q == lo + dists.index(min(dists))
-
-
-@given(st.integers(min_value=1, max_value=MOD - 1),
-       st.lists(st.integers(min_value=1, max_value=400), min_size=1, max_size=6))
-def test_argmin_prefixes_agrees_with_separate_scans(step, checkpoints):
-    checkpoints = sorted(checkpoints)
-    kernel = fx.ResidualKernel([step], [0])
-    got = fx.argmin_prefixes(kernel, 1, checkpoints)
-    for c, (q, d) in zip(checkpoints, got):
-        assert (q, d) == fx.argmin_in(kernel, 1, c)
+    assert int(ds[-1]) == min(dists)
+    assert int(qs[-1]) == lo + dists.index(min(dists))
 
 
 @given(st.integers(min_value=1, max_value=MOD - 1),
@@ -151,6 +145,16 @@ def test_record_lows_equals_brute_force(step, hi):
             want.append((q, d))
             best = d
     assert list(zip(qs.tolist(), ds.tolist())) == want
+
+
+def test_half_epsilon_threshold_accepts_every_q():
+    # a step of 2**127 puts even q on the lattice and odd q exactly 1/2 away,
+    # the largest distance the kernel can report
+    kernel = fx.ResidualKernel([1 << 127], [0])
+    assert kernel.residuals(0, 4).tolist() == [0, 1 << 63, 0, 1 << 63]
+    eps_u64 = fx.eps_to_u64(0.5)
+    assert eps_u64 == 1 << 63
+    assert fx.solutions_in(kernel, -5, 6, eps_u64).tolist() == list(range(-5, 7))
 
 
 def test_first_solution_none_when_absent():
