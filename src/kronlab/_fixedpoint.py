@@ -92,6 +92,39 @@ def _limbs(v: int) -> tuple[np.uint64, np.uint64, np.uint64, np.uint64]:
     )
 
 
+def dot_hi64(steps: list[int], digits: list[np.ndarray]) -> np.ndarray:
+    """Top 64 bits of sum(t * x) mod 2**128 over steps t and uint64 digit arrays x.
+
+    Limb k sums one 32-bit limb of each step times its digits, plus the
+    carry out of limb k - 1; by induction that stays below
+    n * max(x) * 2**32, so every sum is exact while n * max(x) < 2**32.
+    """
+    limbs = [_limbs(t) for t in steps]
+    acc = np.zeros_like(digits[0])
+    words = []
+    for k in range(4):
+        acc = acc >> _SHIFT32
+        for limb, x in zip(limbs, digits):
+            acc += x * limb[k]
+        words.append(acc & _M32)
+    return words[2] | (words[3] << _SHIFT32)
+
+
+def hi64_to_unit_floats(hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """frac_to_unit_float for 128-bit fractions given by their top 64 bits.
+
+    hi is floor(V / 2**64) of V in units of 2**-128; bit 10 of hi is the
+    rounding bit of the 2**-53 grid. Returns the grid floats, rounded half
+    up, and the positions where bits 0..10 of hi are 0x3FF or 0x400: there
+    V lies within 2**64 of a rounding tie, so dropped low bits (an
+    underestimate of V) or the tie-to-even rule can change the result, and
+    the caller must redo those exactly.
+    """
+    k = ((hi >> np.uint64(11)) + ((hi >> np.uint64(10)) & np.uint64(1))) & np.uint64(_GRID - 1)
+    low = hi & np.uint64(0x7FF)
+    return k.astype(np.float64) / _GRID_F, np.flatnonzero((low == 0x3FF) | (low == 0x400))
+
+
 class ResidualKernel:
     """Vectorized sup-norm torus residuals of q*omega - theta.
 

@@ -204,7 +204,7 @@ def convergent_sequence(freq: FrequencyTuple, beta, K: int) -> ConvergentSequenc
     scanned = checkpoints[:len(checkpoints) - len(cf)]
     qs, _ = fx.record_lows(_kernel_for(freq), 1, max(scanned, default=0))
     dens = qs[np.searchsorted(qs, scanned, side="right") - 1].tolist()
-    dens = repair_monotone(dens + [_best_denominator(freq[0], c) for c in cf])
+    dens += [_best_denominator(freq[0], c) for c in cf]
 
     residuals = [torus_norm(frac_mult(freq, q)) for q in dens]
     floor_res = 2.0 ** -(freq.bits - 8)

@@ -376,6 +376,17 @@ def _with(options):
     return deco
 
 
+def _manifest_value(ctx, param: click.Parameter, value):
+    """A replayed option value converted by the option's own click type.
+
+    null stands only for an option whose default is None, the one way
+    the CLI itself writes it.
+    """
+    if value is None and param.default is not None:
+        raise click.BadParameter("null is not a value of this option", ctx=ctx, param=param)
+    return param.process_value(ctx, value)
+
+
 @click.group(invoke_without_command=True)
 @click.option("--manifest", "manifest_path", default=None,
               help="replay a saved manifest.json instead of giving a command")
@@ -405,6 +416,16 @@ def main(ctx, manifest_path):
         inspect.signature(_RUNNERS[command]).bind(**options)
     except TypeError as exc:
         click.echo(f"error: manifest options for {command!r}: {exc}", err=True)
+        sys.exit(EXIT_VALIDATION)
+    # click checks option types only on the command line; a manifest the
+    # CLI wrote holds converted values, which convert to themselves
+    params = {p.name: p for p in main.commands[command].params}
+    try:
+        options = {name: _manifest_value(ctx, params[name], value)
+                   for name, value in options.items()}
+    except click.BadParameter as exc:
+        click.echo(f"error: manifest options for {command!r}: {exc.format_message()}",
+                   err=True)
         sys.exit(EXIT_VALIDATION)
     _execute(command, options)
 

@@ -511,6 +511,11 @@ def orbit_sample(matrix: FrequencyMatrix, lattice: str, count: int,
     same index cube scaled by `step`; the default step is the golden
     conjugate, whose multiples equidistribute instead of collapsing onto
     a finite set the way a rational spacing would.
+
+    Each coordinate is the exact scaled dot product mod 1, rounded half
+    to even onto the 2**-53 grid. The cube is computed in numpy from the
+    entries' top 128 bits; coordinates that land near a rounding tie are
+    redone with Python integers.
     """
     if lattice not in ("integer", "real"):
         raise ValueError(f"lattice must be 'integer' or 'real', got {lattice!r}")
@@ -533,12 +538,29 @@ def orbit_sample(matrix: FrequencyMatrix, lattice: str, count: int,
         bits = 2 * matrix.bits
         st = fx.to_scaled(GOLDEN_CONJUGATE_STEP if step is None else step, matrix.bits)
         scaled_rows = [[c.scaled * st for c in row] for row in matrix.rows]
+    if n * side >= 1 << 32:
+        # the limb sums of fx.dot_hi64 are exact only below this
+        raise ValueError(f"count {count} needs n * side < 2**32 (n={n}, side={side})")
+    # digits of index = 0, 1, ... in base side, first coordinate most
+    # significant: the row-major walk of the cube [0, side)**n
+    index = np.arange(count, dtype=np.uint64)
+    digits = []
+    for _ in range(n):
+        digits.append(index % np.uint64(side))
+        index //= np.uint64(side)
+    digits.reverse()
     unit = 1 << bits
-    vectors = itertools.islice(itertools.product(range(side), repeat=n), count)
-    return [
-        TorusPoint([
-            frac_to_unit_float(sum(s * v for s, v in zip(row, vec)) % unit, bits)
-            for row in scaled_rows
-        ])
-        for vec in vectors
-    ]
+    coords = np.empty((matrix.m, count))
+    for j, row in enumerate(scaled_rows):
+        # the 128-bit steps truncate toward -inf, so the dot product
+        # underestimates the exact value by less than sum(x) < 2**32 units
+        # of 2**-128, far inside the window hi64_to_unit_floats flags
+        hi = fx.dot_hi64([fx.step128(s, bits) for s in row], digits)
+        coords[j], unsure = fx.hi64_to_unit_floats(hi)
+        for i in unsure.tolist():
+            vec = [int(x[i]) for x in digits]
+            coords[j, i] = frac_to_unit_float(sum(s * v for s, v in zip(row, vec)) % unit, bits)
+    # every value is k / 2**53 with k < 2**53, so it lies in [0, 1) by
+    # construction and TorusPoint's per-coordinate check is skipped
+    points = zip(*(c.tolist() for c in coords))
+    return list(map(tuple.__new__, itertools.repeat(TorusPoint), points))

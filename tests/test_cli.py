@@ -205,7 +205,11 @@ class TestManifestReplay:
         ({"m": 2, "n": 1, "nu": 0.0, "d": None, "alpha": 1.0, "out": ".",
           "fmt": "json", "bogus": 1}, "unexpected keyword argument 'bogus'"),
         (["--m", "2"], "must be a JSON object"),
-    ], ids=["missing-key", "unknown-key", "not-an-object"])
+        ({"m": "x", "n": 1, "nu": 0.0, "d": None, "alpha": 1.0, "out": ".",
+          "fmt": "json"}, "'x' is not a valid integer"),
+        ({"m": None, "n": 1, "nu": 0.0, "d": None, "alpha": 1.0, "out": ".",
+          "fmt": "json"}, "null is not a value"),
+    ], ids=["missing-key", "unknown-key", "not-an-object", "bad-type", "null-value"])
     def test_malformed_options_rejected(self, tmp_path, monkeypatch, options, message):
         monkeypatch.chdir(tmp_path)
         bad = tmp_path / "m.json"

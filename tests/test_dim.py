@@ -20,6 +20,34 @@ from kronlab import (
 DYADIC = [0.25, 0.125, 0.0625, 0.03125]
 
 
+def box_count_reference(points, scales):
+    """(counts, points_used) from one row-unique per scale, box_count's
+    former method; exact for scales down to 2**-63."""
+    arr = np.asarray(list(points), dtype=float)
+    if arr.ndim == 1:
+        arr = arr[:, None]
+    counts = tuple(
+        len(np.unique(np.floor(arr * int(round(1.0 / eps))).astype(np.int64), axis=0))
+        for eps in sorted(set(scales), reverse=True)
+    )
+    return counts, len(np.unique(arr, axis=0))
+
+
+# extra coordinates that collide: both zeros, the ends of [0, 1), and
+# values one finest cell or one ulp apart
+_EDGE_COORDS = [0.0, -0.0, 0.5, 2.0 ** -63, 2.0 ** -62, 1 - 2.0 ** -53, 1 - 2.0 ** -52]
+_coord01 = st.one_of(st.floats(0.0, 1.0, exclude_max=True), st.sampled_from(_EDGE_COORDS))
+
+
+@st.composite
+def _box_samples(draw):
+    d = draw(st.sampled_from([1, 2, 3]))
+    rows = draw(st.lists(st.tuples(*[_coord01] * d), min_size=1, max_size=40))
+    rows += draw(st.lists(st.sampled_from(rows), max_size=10))
+    levels = draw(st.lists(st.integers(1, 63), min_size=1, max_size=6))
+    return rows, [2.0 ** -j for j in levels]
+
+
 class TestBoxCount:
     def test_equispaced_line(self):
         pts = [(k / 128,) for k in range(128)]
@@ -59,6 +87,46 @@ class TestBoxCount:
     def test_empty_points_rejected(self):
         with pytest.raises(ValueError):
             box_count([], [0.25])
+
+    CLOSE_1D = [[0.1], [0.2], [0.7], [0.70000001]]
+
+    def test_finest_scale_separates_close_points(self):
+        curve = box_count(self.CLOSE_1D, [0.5, 2.0 ** -20, 2.0 ** -63])
+        assert curve.counts == (2, 3, 4)
+        assert curve.points_used == 4
+
+    @pytest.mark.parametrize("j", [64, 70, 1074])
+    def test_scales_finer_than_2_pow_63_rejected(self, j):
+        with pytest.raises(ValueError, match="finer than"):
+            box_count(self.CLOSE_1D, [0.25, 2.0 ** -j])
+
+    @pytest.mark.parametrize("bad", [-0.25, 1.0, 1.5, float("nan"), float("inf")])
+    def test_coordinates_outside_unit_interval_rejected(self, bad):
+        with pytest.raises(ValueError, match=r"\[0, 1\)"):
+            box_count([(0.1, 0.2), (0.3, bad)], [0.25])
+
+    def test_negative_zero_is_zero(self):
+        curve = box_count([(0.0, 0.5), (-0.0, 0.5), (0.0, -0.0)], [0.5, 2.0 ** -63])
+        assert curve.points_used == 2
+        assert curve.counts == (2, 2)
+
+    def test_multiword_keys_match_reference(self):
+        # d * J = 189 bits: three uint64 words per key, and points one ulp
+        # apart differ only in the last word
+        ulp = 2.0 ** -53
+        pts = [(0.5 + a * ulp, 0.75 + b * ulp, 0.875 + c * ulp)
+               for a in range(3) for b in range(3) for c in range(3)]
+        scales = [2.0 ** -j for j in range(1, 64)]
+        curve = box_count(pts, scales)
+        assert (curve.counts, curve.points_used) == box_count_reference(pts, scales)
+        assert curve.counts[-1] == 27
+
+    @given(_box_samples())
+    @settings(max_examples=150)
+    def test_matches_per_scale_unique_loop(self, sample):
+        pts, scales = sample
+        curve = box_count(pts, scales)
+        assert (curve.counts, curve.points_used) == box_count_reference(pts, scales)
 
     coord = st.floats(min_value=0.0, max_value=0.999999, allow_nan=False)
 

@@ -1,4 +1,6 @@
 """Gap scans, inclusion ladders, greedy periods, and matrix systems."""
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -6,10 +8,12 @@ from hypothesis import given, settings, strategies as st
 import kronlab
 from kronlab import (
     BudgetExceededError,
+    GOLDEN_CONJUGATE_STEP,
     FrequencyMatrix,
     FrequencyTuple,
     KroneckerInstance,
     PrecisionBudgetError,
+    PrecisionReal,
     TorusPoint,
     WindowPolicy,
     WindowTooNarrowError,
@@ -361,7 +365,76 @@ class TestExtendedSystem:
             build_extended(mat, TorusPoint([0.1, 0.2]))
 
 
+def exact_orbit(mat, lattice, count, step=None):
+    """orbit_sample recomputed in Fractions from the stored scaled integers:
+    the row-major walk of the smallest cube [0, side)**n holding count
+    points, each coordinate rounded half to even onto the 2**-53 grid."""
+    side = 1
+    while side ** mat.n < count:
+        side += 1
+    rows = [[c.as_fraction() for c in row] for row in mat.rows]
+    if lattice == "real":
+        scaled_step = Fraction(round(Fraction(GOLDEN_CONJUGATE_STEP if step is None else step)
+                                     * (1 << mat.bits)), 1 << mat.bits)
+        rows = [[e * scaled_step for e in row] for row in rows]
+    points = []
+    for index in range(count):
+        vec = []
+        for _ in range(mat.n):
+            index, digit = divmod(index, side)
+            vec.append(digit)
+        vec.reverse()
+        points.append(tuple(
+            (round(sum(e * v for e, v in zip(row, vec)) % 1 * 2 ** 53) % 2 ** 53) / 2 ** 53
+            for row in rows))
+    return points
+
+
+ORBIT_MATRICES = ["pi-3", "sqrt(2)-1,pi-3;e-2,-sqrt(3)",
+                  "golden-1,pi-3,-cbrt(2);e-2,sqrt(3)-1,0.5"]
+ORBIT_LATTICES = [("integer", None), ("real", None), ("real", 0.5), ("real", 1e-7),
+                  ("real", -0.37)]
+
+
 class TestOrbitSample:
+    @pytest.mark.parametrize("lattice, step", ORBIT_LATTICES)
+    @pytest.mark.parametrize("bits", [64, 128, 192])
+    @pytest.mark.parametrize("text", ORBIT_MATRICES)
+    @pytest.mark.parametrize("count", [125, 130])
+    def test_matches_exact_fractions(self, text, bits, lattice, step, count):
+        mat = FrequencyMatrix.parse(text, bits)
+        pts = orbit_sample(mat, lattice, count, step)
+        assert all(type(p) is TorusPoint for p in pts)
+        assert pts == exact_orbit(mat, lattice, count, step)
+
+    @pytest.mark.parametrize("lattice, step", [("integer", None), ("real", 0.5)])
+    @pytest.mark.parametrize("bits", [64, 128, 192])
+    def test_rounding_ties_match_exact_fractions(self, bits, lattice, step):
+        # tie: half of 2**-53 past an even multiple of it. Rows 0 and 1 hold
+        # entries one unit of 2**-bits below, on and above it; their odd
+        # multiples stay on ties. Row 2 sums to one unit above the tie at
+        # vector (1, 1), but past 128 bits each entry carries half a unit
+        # of 2**-128 that the 128-bit steps drop, so the truncated sum
+        # lies just below the tie
+        tie = (0x5A5A4 << (bits - 53)) + (1 << (bits - 54))
+        half = 1 << max(bits - 129, 0)
+        x = 0x1234 << (bits - 53)
+        y = tie - 2 * half - x
+        e = [PrecisionReal.from_value(Fraction(v, 1 << bits), bits, "tie")
+             for v in (tie - 1, tie, tie + 1, x + half, y + half + 1)]
+        mat = FrequencyMatrix([[e[0], e[1]], [e[1], e[2]], [e[3], e[4]]])
+        pts = orbit_sample(mat, lattice, 100, step)
+        assert pts == exact_orbit(mat, lattice, 100, step)
+        if lattice == "integer":
+            # the tie itself rounds to the even neighbour, above it up
+            assert pts[1][:2] == (0x5A5A4 / 2 ** 53, 0x5A5A5 / 2 ** 53)
+            assert pts[11][2] == 0x5A5A5 / 2 ** 53
+
+    def test_count_beyond_limb_bound_rejected(self):
+        mat = FrequencyMatrix.parse("pi-3")
+        with pytest.raises(ValueError, match="2\\*\\*32"):
+            orbit_sample(mat, "real", 1 << 32)
+
     def test_integer_lattice_rational_matrix(self):
         mat = FrequencyMatrix.parse("0.5,0;0,0.5")
         pts = orbit_sample(mat, "integer", 9)
