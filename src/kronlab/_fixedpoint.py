@@ -236,20 +236,31 @@ def record_lows(kernel: ResidualKernel, lo: int, hi: int) -> tuple[np.ndarray, n
 
     Returns (q values, uint64 dists); the first point is always a record.
     The last record at or below c is the earliest minimiser on [lo, c].
+
+    Each chunk evaluates coordinate 0 on every q but the other coordinates
+    only on the survivors, the q whose coordinate-0 distance is below the
+    running best at the chunk's start. Any other q has a residual at least
+    that best, so it can neither set a record nor lower the running
+    minimum, and the records are those of the full residual.
     """
-    qs, ds = [], []
+    qs, ds = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.uint64)]
     best = np.uint64(0xFFFFFFFFFFFFFFFF)
-    for start, res in kernel.chunks(lo, hi):
-        run = np.minimum.accumulate(res)
-        prior = np.empty_like(run)
-        prior[0] = best
-        np.minimum(run[:-1], best, out=prior[1:])
-        mask = res < prior
-        pos = np.nonzero(mask)[0]
-        if len(pos):
-            qs.append(pos.astype(np.int64) + start)
-            ds.append(res[pos])
-        best = min(best, run[-1])
-    if not qs:
-        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.uint64)
+    (step0, off0), *rest = zip(kernel.steps, kernel.offsets)
+    idx = np.arange(CHUNK, dtype=np.uint64)
+    start = lo
+    while start <= hi:
+        n = min(CHUNK, hi - start + 1)
+        d0 = kernel._coord_dists(step0, (step0 * start - off0) % _MOD, idx[:n])
+        pos = np.flatnonzero(d0 < best)
+        res = d0[pos]
+        survivors = pos.view(np.uint64)  # nonnegative, so the same values
+        for step, off in rest:
+            np.maximum(res, kernel._coord_dists(step, (step * start - off) % _MOD, survivors), out=res)
+        # run[i] is the lowest residual before survivor i, best included
+        run = np.minimum.accumulate(np.concatenate(([best], res)))
+        mask = res < run[:-1]
+        qs.append(pos[mask] + start)
+        ds.append(res[mask])
+        best = run[-1]
+        start += n
     return np.concatenate(qs), np.concatenate(ds)

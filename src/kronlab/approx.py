@@ -8,12 +8,15 @@ estimate_diophantine_order goes the other way and fits how fast the best
 residual can shrink at all, which is the obstruction every other bound in
 the package is measured against.
 
-For one frequency the classical continued fraction gives the window
-answers directly, so scans above 10^6 switch to it; everything else is a
-chunked exact scan through the fixed-point kernel.
+For one frequency the record lows of q -> |q*omega| are exactly the
+distinct continued-fraction denominators (Khinchin, Continued Fractions,
+Thms 16-17), so every window is answered from the expansion without a
+scan; several frequencies take a chunked exact scan through the
+fixed-point kernel.
 """
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from dataclasses import dataclass
@@ -29,8 +32,6 @@ from .errors import (
     RationalFrequencyError,
 )
 from .torus import FrequencyTuple, PrecisionReal, frac_mult, torus_norm
-
-CF_SCAN_CUTOFF = 1_000_000
 
 
 def _kernel_for(freq: FrequencyTuple, target=None) -> fx.ResidualKernel:
@@ -57,30 +58,24 @@ def dirichlet_search(freq: FrequencyTuple, Q) -> int:
 
     Ties break toward the smallest q. The winner always satisfies the
     pigeonhole guarantee residual < (1/Q)^(1/m) when some coordinate is
-    irrational, since it beats the witness that guarantee promises.
+    irrational, since it beats the witness that guarantee promises. One
+    frequency is answered by its largest convergent denominator <= Q.
     """
-    n = _window_bound(freq, Q)
-    if len(freq) == 1 and n > CF_SCAN_CUTOFF:
-        return _best_denominator(freq[0], n)
-    qs, _ = fx.record_lows(_kernel_for(freq), 1, n)
-    return int(qs[-1])
+    return _record_lows(freq, _window_bound(freq, Q))[-1]
 
 
-def _best_denominator(omega: PrecisionReal, n: int) -> int:
-    """Largest convergent denominator <= n, which is the argmin for m=1.
+def _record_lows(freq: FrequencyTuple, n: int) -> list[int]:
+    """The q in 1..n whose residual is below that of every smaller q.
 
-    Best approximations in the strong sense are exactly the continued
-    fraction convergents, and their residuals strictly decrease, so no
-    scan is needed. If the expansion terminates inside the window (a
-    rational, or precision exhausted) the terminal denominator already
-    has residual below resolution and wins.
+    For one frequency these are the distinct convergent denominators up to
+    n (a_1 = 1 repeats q = 1); an expansion that stops inside the window, at
+    a rational or the precision floor, ends the list. Several frequencies
+    are scanned through the kernel.
     """
-    best = 1
-    for _, _, q in _expansion(omega):
-        if q > n:
-            break
-        best = q
-    return best
+    if len(freq) > 1:
+        return fx.record_lows(_kernel_for(freq), 1, n)[0].tolist()
+    dens = (q for _, _, q in _expansion(freq[0]))
+    return list(dict.fromkeys(itertools.takewhile(lambda q: q <= n, dens)))
 
 
 def _expansion(omega: PrecisionReal):
@@ -198,13 +193,9 @@ def convergent_sequence(freq: FrequencyTuple, beta, K: int) -> ConvergentSequenc
             f"beta^K window {top} exceeds the declared q_max={freq.q_max}"
         )
 
-    # as in dirichlet_search, one frequency takes windows past the cutoff
-    # from its continued fraction; the rest share one record-low scan
-    cf = [c for c in checkpoints if m == 1 and c > CF_SCAN_CUTOFF]
-    scanned = checkpoints[:len(checkpoints) - len(cf)]
-    qs, _ = fx.record_lows(_kernel_for(freq), 1, max(scanned, default=0))
-    dens = qs[np.searchsorted(qs, scanned, side="right") - 1].tolist()
-    dens += [_best_denominator(freq[0], c) for c in cf]
+    # the earliest argmin on [1, c] is the last record low at or below c
+    qs = _record_lows(freq, top)
+    dens = [qs[bisect.bisect_right(qs, c) - 1] for c in checkpoints]
 
     residuals = [torus_norm(frac_mult(freq, q)) for q in dens]
     floor_res = 2.0 ** -(freq.bits - 8)
@@ -302,11 +293,12 @@ class DiophantineOrderFit:
 def estimate_diophantine_order(freq: FrequencyTuple, q_max: int) -> DiophantineOrderFit:
     """Fit the approximation order from the record lows of q -> |freq*q|.
 
-    Scans every q up to q_max, keeps the strict record-low residuals,
-    and fits their log-log slope as -(1+nu_hat)/m; nu_hat is clamped at
-    zero since negative orders are impossible. c_d_hat is chosen so the
-    fitted law is an actual lower bound on the whole envelope, hence on
-    every scanned q.
+    Takes the strict record-low residuals up to q_max, from the continued
+    fraction for one frequency and from a scan of every q otherwise, and
+    fits their log-log slope as -(1+nu_hat)/m; nu_hat is clamped at zero
+    since negative orders are impossible. c_d_hat is chosen so the fitted
+    law is an actual lower bound on the whole envelope, hence on every q
+    up to q_max.
     """
     q_max = int(q_max)
     if q_max < 1:
@@ -316,10 +308,8 @@ def estimate_diophantine_order(freq: FrequencyTuple, q_max: int) -> DiophantineO
             f"scan bound {q_max} exceeds the declared q_max={freq.q_max}"
         )
     m = len(freq)
-    kernel = _kernel_for(freq)
-    qs, _ = fx.record_lows(kernel, 1, q_max)
     support = []
-    for q in qs.tolist():
+    for q in _record_lows(freq, q_max):
         r = torus_norm(frac_mult(freq, q))
         if r == 0.0:
             raise RationalFrequencyError(

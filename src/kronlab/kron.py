@@ -14,6 +14,7 @@ accumulated float error.
 """
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from dataclasses import dataclass
@@ -255,27 +256,17 @@ def greedy_almost_period(seq: ConvergentSequence, target, k0: int) -> AlmostPeri
     dens = seq.denominators
     if not 1 <= k0 <= len(dens):
         raise ValueError(f"k0={k0} out of range 1..{len(dens)}")
-    goal = Fraction(target)
+    goal = target if isinstance(target, (int, float)) else Fraction(target)
     sign = -1 if goal < 0 else 1
-    mag = abs(goal)
-    q_floor = dens[k0 - 1]
-    if mag < q_floor:
-        return AlmostPeriod(
-            tau=0, coefficients=(), k0=k0, top_level=k0 - 1,
-            target=float(target),
-            residual=0.0,
-        )
-    top = len(dens)
-    while dens[top - 1] > mag:
-        top -= 1
-    total = 0
+    # the denominators are integers, so floor((|goal| - n) / q) and every
+    # comparison with a denominator hold on the floor; below q_{k0}, tau = 0
+    rest = mag = math.floor(abs(goal))
+    top = max(k0 - 1, bisect.bisect_right(dens, mag))
     reversed_coeffs = []
     for k in range(top, k0 - 1, -1):
-        q = dens[k - 1]
-        p = int((mag - total) // q)
+        p, rest = divmod(rest, dens[k - 1])
         reversed_coeffs.append(p)
-        total += p * q
-    tau = sign * total
+    tau = sign * (mag - rest)
     return AlmostPeriod(
         tau=tau,
         coefficients=tuple(reversed(reversed_coeffs)),

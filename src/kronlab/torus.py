@@ -307,7 +307,12 @@ class TorusPoint(tuple):
 
 
 def torus_norm(point) -> float:
-    """Sup-metric distance of a point to the lattice: max_j min(x_j, 1 - x_j)."""
+    """Sup-metric distance of a point to the lattice: max_j min(x_j, 1 - x_j).
+
+    On a point from frac_mult this is the exact residual rounded half to
+    even onto the 2**-53 grid, so it can sit up to 2**-54 below the true
+    value; as an epsilon that must admit its own q, pass r + 2**-53.
+    """
     best = 0.0
     for x in point:
         d = x if x <= 0.5 else 1.0 - x

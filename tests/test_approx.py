@@ -22,8 +22,60 @@ from kronlab import (
     torus_norm,
     verify_sequence_properties,
 )
-from kronlab.approx import CF_SCAN_CUTOFF, _kernel_for
+from kronlab.approx import _kernel_for, _record_lows
 from kronlab import _fixedpoint as fx
+
+M32 = np.uint64(0xFFFFFFFF)
+SHIFT32 = np.uint64(32)
+
+
+def exact_record_lows(omega: PrecisionReal, n: int, block: int = 1 << 18) -> list[int]:
+    """Strict record lows of |q * stored value| over q in 1..n, exactly.
+
+    q * scaled mod 2**bits is formed in 32-bit limbs, which gives the top
+    64 bits of every exact distance. A record's top bits are at most those
+    of every earlier q; Python ints settle the few q that pass.
+    """
+    bits = omega.bits
+    assert bits % 32 == 0 and n < 1 << 30
+    unit = 1 << bits
+    s = omega.scaled % unit
+    limbs = [np.uint64((s >> (32 * k)) & 0xFFFFFFFF) for k in range(bits // 32)]
+    best_key = np.uint64(1 << 63)
+    candidates = []
+    for lo in range(1, n + 1, block):
+        q = np.arange(lo, min(lo + block, n + 1), dtype=np.uint64)
+        carry = np.zeros_like(q)
+        low_nonzero = np.zeros(len(q), dtype=bool)
+        words = []
+        for limb in limbs:
+            acc = q * limb + carry
+            words.append(acc & M32)
+            carry = acc >> SHIFT32
+        for w in words[:-2]:
+            low_nonzero |= w != 0
+        top = (words[-1] << SHIFT32) | words[-2]
+        # past one half the distance is unit - v, whose top bits are
+        # 2**64 - top, less one more when v has nonzero bits below them
+        key = np.where(top >> np.uint64(63) == 1,
+                       np.uint64(0) - top - low_nonzero.astype(np.uint64), top)
+        prior = np.minimum.accumulate(np.concatenate(([best_key], key[:-1])))
+        candidates += (np.flatnonzero(key <= prior) + lo).tolist()
+        best_key = min(best_key, key.min())
+    records, best = [], unit
+    for c in candidates:
+        v = c * s % unit
+        d = min(v, unit - v)
+        if d < best:
+            records.append(c)
+            best = d
+    return records
+
+
+# a_1 = 1 (golden-1), a large quotient (pi-3), a value above 1, and
+# rationals whose ties sit below the kernel's 2**-64 resolution
+ONE_FREQUENCY_CASES = ["golden-1", "sqrt(2)-1", "pi-3", "e-2", "sqrt(2)",
+                       "2/3", "1/1000", "355/113", "0.375"]
 
 
 class TestDirichletSearch:
@@ -39,14 +91,35 @@ class TestDirichletSearch:
         with pytest.raises(PrecisionBudgetError):
             dirichlet_search(small, small.q_max + 1)
 
-    def test_cf_path_agrees_with_scan(self, golden_freq, sqrt2_freq):
-        # just above the cutoff the continued fraction answers; compare
+    @pytest.mark.parametrize("n", [10 ** 6 + 1, 1 << 22])
+    def test_cf_path_agrees_with_scan(self, golden_freq, sqrt2_freq, n):
+        # one frequency is answered from its continued fraction; compare
         # against the last record low of a kernel scan over the same window
-        n = CF_SCAN_CUTOFF + 1
         for freq in (golden_freq, sqrt2_freq):
             fast = dirichlet_search(freq, n)
             qs, _ = fx.record_lows(_kernel_for(freq), 1, n)
             assert fast == int(qs[-1])
+
+    @pytest.mark.parametrize("desc", ONE_FREQUENCY_CASES)
+    def test_exact_oracle_matches_plain_loop(self, desc):
+        # blocks of 97 put block borders inside the runs of ties
+        omega = PrecisionReal.parse(desc)
+        unit = 1 << omega.bits
+        want, best = [], unit
+        for q in range(1, 3001):
+            v = q * omega.scaled % unit
+            if min(v, unit - v) < best:
+                want.append(q)
+                best = min(v, unit - v)
+        assert exact_record_lows(omega, 3000, block=97) == want
+
+    @pytest.mark.parametrize("desc", ONE_FREQUENCY_CASES)
+    def test_one_frequency_records_are_exact(self, desc):
+        freq = FrequencyTuple.parse(desc)
+        want = exact_record_lows(freq[0], 1 << 22)
+        assert _record_lows(freq, 1 << 22) == want
+        for n in (1, 2, 7, 1000, 10 ** 6 + 1, 1 << 22):
+            assert dirichlet_search(freq, n) == [q for q in want if q <= n][-1]
 
     def test_pigeonhole_guarantee_small(self, pair_freq):
         for k in range(1, 13):
@@ -161,8 +234,8 @@ class TestConvergentSequence:
             convergent_sequence(f, 2.0, 40)
 
     def test_cf_fast_path_matches_scan_construction(self, golden_freq):
-        # beta^K beyond the cutoff switches construction; the small-K
-        # prefix must be unchanged
+        # windows past 10**6 extend the ladder; the small-K prefix must be
+        # unchanged
         big = convergent_sequence(golden_freq, 2.0, 21)
         small = convergent_sequence(golden_freq, 2.0, 12)
         assert big.denominators[:12] == small.denominators

@@ -1,4 +1,6 @@
 """The integer kernel against a pure big-int reference implementation."""
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -145,6 +147,58 @@ def test_record_lows_equals_brute_force(step, hi):
             want.append((q, d))
             best = d
     assert list(zip(qs.tolist(), ds.tolist())) == want
+
+
+def ref_record_lows(steps, offsets, lo, hi):
+    best, want = U64, []
+    for q in range(lo, hi + 1):
+        d = ref_residual(steps, offsets, q)
+        if d < best:
+            want.append((q, d))
+            best = d
+    return want
+
+
+def ref_survivors(steps, offsets, lo, hi, chunk):
+    """Count the q whose coordinate-0 distance is below the best residual
+    of all earlier chunks: the q whose other coordinates need evaluating."""
+    best, count = U64, 0
+    for start in range(lo, hi + 1, chunk):
+        qs = range(start, min(start + chunk, hi + 1))
+        count += sum(ref_dist(steps[0], offsets[0], q) < best for q in qs)
+        best = min([best] + [ref_residual(steps, offsets, q) for q in qs])
+    return count
+
+
+@pytest.mark.parametrize("m", [2, 3])
+@pytest.mark.parametrize("chunk", [3, 7])
+@pytest.mark.parametrize("case", range(6))
+def test_filtered_record_lows_equal_brute_force(m, chunk, case):
+    rng = random.Random(f"record-lows:{m}:{chunk}:{case}")
+    # a first coordinate of a/8 turns takes eight distances, so some q tie
+    # the running best on coordinate 0 alone
+    first = rng.randrange(1, 8) << 125 if case % 2 else rng.randrange(1, MOD)
+    steps = [first] + [rng.randrange(1, MOD) for _ in range(m - 1)]
+    offsets = [rng.randrange(1, MOD) for _ in range(m)]
+    lo = rng.randrange(1, 1 << 40)
+    hi = lo + rng.randrange(100, 300)
+    kernel = fx.ResidualKernel(steps, offsets)
+    evaluated = []
+    coord_dists = kernel._coord_dists
+
+    def counting(step, anchor, idx):
+        evaluated.append((step, len(idx)))
+        return coord_dists(step, anchor, idx)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fx, "CHUNK", chunk)
+        mp.setattr(kernel, "_coord_dists", counting)
+        qs, ds = fx.record_lows(kernel, lo, hi)
+    assert list(zip(qs.tolist(), ds.tolist())) == ref_record_lows(steps, offsets, lo, hi)
+    # the other coordinates run on the survivors of coordinate 0 only
+    survivors = ref_survivors(steps, offsets, lo, hi, chunk)
+    for step in steps[1:]:
+        assert sum(n for s, n in evaluated if s == step) == survivors
 
 
 def test_half_epsilon_threshold_accepts_every_q():

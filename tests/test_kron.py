@@ -1,4 +1,5 @@
 """Gap scans, inclusion ladders, greedy periods, and matrix systems."""
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -42,6 +43,31 @@ def golden_seq25(golden_freq):
     return convergent_sequence(golden_freq, 2.0, 25)
 
 
+def greedy_reference(seq, target, k0):
+    """greedy_almost_period's former method, in exact rational arithmetic."""
+    dens = seq.denominators
+    goal = Fraction(target)
+    sign = -1 if goal < 0 else 1
+    mag = abs(goal)
+    if mag < dens[k0 - 1]:
+        return kronlab.AlmostPeriod(tau=0, coefficients=(), k0=k0, top_level=k0 - 1,
+                                    target=float(target), residual=0.0)
+    top = len(dens)
+    while dens[top - 1] > mag:
+        top -= 1
+    total = 0
+    reversed_coeffs = []
+    for k in range(top, k0 - 1, -1):
+        q = dens[k - 1]
+        p = int((mag - total) // q)
+        reversed_coeffs.append(p)
+        total += p * q
+    tau = sign * total
+    return kronlab.AlmostPeriod(
+        tau=tau, coefficients=tuple(reversed(reversed_coeffs)), k0=k0, top_level=top,
+        target=float(target), residual=torus_norm(frac_mult(seq.frequency, tau)))
+
+
 class TestInstance:
     def test_epsilon_validation(self, golden_freq):
         with pytest.raises(ValueError):
@@ -77,6 +103,22 @@ class TestSolveInInterval:
         inst = KroneckerInstance.homogeneous(golden_freq, 0.1)
         with pytest.raises(ValueError):
             solve_in_interval(inst, 5, 4)
+
+    def test_reported_residual_rounding_rule(self):
+        # a reported residual is the exact one rounded half to even onto
+        # the 2**-53 grid, so it may sit below the true value: as an
+        # epsilon it must be padded by one grid step to admit its own q
+        rng = random.Random("residual-rounding")
+        pool = ["sqrt(2)-1", "sqrt(3)-1", "pi-3", "e-2", "golden-1", "cbrt(2)-1"]
+        for _ in range(400):
+            freq = FrequencyTuple.parse(rng.sample(pool, rng.randint(1, 3)))
+            q = rng.randint(1, 10 ** 6)
+            r = torus_norm(frac_mult(freq, q))
+            unit = 1 << freq.bits
+            exact = max(min(v, unit - v) for v in (c.scaled * q % unit for c in freq))
+            assert r == round(Fraction(exact, unit) * (1 << 53)) / (1 << 53)
+            inst = KroneckerInstance.homogeneous(freq, min(0.5, r + 2.0 ** -53))
+            assert solve_in_interval(inst, q, q) == q
 
     def test_respects_target(self, golden_freq):
         theta = TorusPoint([0.3])
@@ -247,6 +289,29 @@ class TestGreedyAlmostPeriod:
                 assert p <= dens[k] // dens[k - 1]
         if ap.tau != 0:
             assert ap.residual == torus_norm(frac_mult(seq.frequency, ap.tau))
+
+
+    @pytest.mark.parametrize("k0", range(1, 9))
+    def test_integer_greedy_matches_rational_reference(self, golden_seq25, pair_freq, k0):
+        pair_seq = convergent_sequence(pair_freq, 2.0, 18)
+        rng = random.Random(f"greedy:{k0}")
+        for seq in (golden_seq25, pair_seq):
+            top = seq.denominators[-1]
+            targets = [0, 1, -1, top, 2 * top + 3, -(10 ** 9)]
+            targets += [rng.randint(-top, top) for _ in range(40)]
+            targets += [rng.uniform(-top, top) for _ in range(40)]
+            targets += [rng.randint(-top, top) + 0.5 for _ in range(20)]
+            targets += [s * (q + d) for q in seq.denominators for s in (1, -1) for d in (-1, 0, 1)]
+            targets += [f"{rng.uniform(-top, top):.4f}" for _ in range(20)]
+            targets += [Fraction(rng.randint(-top * 7, top * 7), 7) for _ in range(20)]
+            targets += [Fraction(q, 1) - Fraction(1, 10 ** 30) for q in seq.denominators]
+            for target in targets:
+                assert greedy_almost_period(seq, target, k0) == greedy_reference(seq, target, k0)
+            for target in (float("nan"), float("inf"), float("-inf")):
+                with pytest.raises((ValueError, OverflowError)) as want:
+                    greedy_reference(seq, target, k0)
+                with pytest.raises(want.type):
+                    greedy_almost_period(seq, target, k0)
 
 
 class TestAlmostPeriodQuality:
