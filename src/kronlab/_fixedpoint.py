@@ -3,18 +3,16 @@
 A real number is stored as ``round(value * 2**bits)``, a plain Python int,
 so multiplying by an integer q and reducing mod 1 are exact operations on
 integers. The hot loops (window scans over millions of q) cannot afford
-per-element bigint work, so they run on the top 128 bits of the stored
-value: four uint64 limb multiplications per coordinate, carried mod 2**128
-in numpy. Within a chunk the index offsets stay below 2**20, every partial
-product fits a uint64 with room to spare, and the result is exact, which
-is what makes chunked scans independent of the chunk size.
+per-element bigint work, so they run on 128-bit fixed point: four uint64
+limb multiplications per coordinate, carried mod 2**128 in numpy.
 
-Truncating a step to 128 bits costs less than 2**-128 per unit of q, and
-each chunk's anchor is built as truncated step times start, so the error
-grows like start * 2**-128. Near the top of the budget the precision
-guard admits (|q| up to 2**(bits-32), 2**160 at the default 192 bits)
-that is not below the 2**-32 the reported residuals are trusted to, and
-scans there can disagree with exact arithmetic; see ROADMAP item 2.
+The kernel alone decides which 128 bits it sees. Each chunk's anchor is
+the top 128 bits of the exact ``(scaled*start - offset) mod 2**bits``; the
+step truncated to 128 bits is used only for the in-chunk offsets, which
+stay below 2**30. Anchor and steps together drop less than 2**30 units of
+2**-128, and keeping the top 64 of the 128 bits less than one unit of
+2**-64, so at every start the precision budget admits, a reported
+distance is within _SLACK units of 2**-64 of the exact one.
 """
 from __future__ import annotations
 
@@ -72,15 +70,10 @@ def eps_to_u64(eps: float) -> int:
 
 
 def step128(scaled: int, bits: int) -> int:
-    """Top 128 bits of a scaled value, as a step per unit q (mod 2**128)."""
+    """Top 128 bits of a scaled value mod 1, in units of 2**-128."""
     if bits <= KERNEL_BITS:
         return (scaled << (KERNEL_BITS - bits)) % _MOD
     return (scaled >> (bits - KERNEL_BITS)) % _MOD
-
-
-def offset128(value) -> int:
-    """A target coordinate as a 128-bit fixed-point offset."""
-    return to_scaled(value, KERNEL_BITS) % _MOD
 
 
 def _limbs(v: int) -> tuple[np.uint64, np.uint64, np.uint64, np.uint64]:
@@ -125,23 +118,38 @@ def hi64_to_unit_floats(hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return k.astype(np.float64) / _GRID_F, np.flatnonzero((low == 0x3FF) | (low == 0x400))
 
 
+_SLACK = 2  # bound on a reported distance's error, units of 2**-64
+
+
 class ResidualKernel:
     """Vectorized sup-norm torus residuals of q*omega - theta.
 
-    steps and offsets are 128-bit fixed-point integers, one per coordinate.
-    residuals() returns uint64 distances in units of 2**-64: the true
-    kernel distance is dist/2**64 up to the 128-bit truncation above.
+    scaled and offsets are the stored integers of omega and theta, one per
+    coordinate, in units of 2**-bits; at the default bits = 128 they are
+    128-bit fixed-point values. residuals() returns uint64 distances in
+    units of 2**-64, each within _SLACK units of the exact distance of
+    those integers; _exact() gives the exact residual.
     """
 
-    def __init__(self, steps: list[int], offsets: list[int] | None = None):
-        if not steps:
-            raise ValueError("kernel needs at least one coordinate")
-        self.steps = [int(s) % _MOD for s in steps]
-        if offsets is None:
-            offsets = [0] * len(steps)
-        if len(offsets) != len(steps):
-            raise ValueError("steps/offsets length mismatch")
-        self.offsets = [int(t) % _MOD for t in offsets]
+    def __init__(self, scaled: list[int], offsets: list[int] | None = None,
+                 bits: int = KERNEL_BITS):
+        offsets = [0] * len(scaled) if offsets is None else offsets
+        if not scaled or len(offsets) != len(scaled):
+            raise ValueError("kernel needs at least one coordinate and one offset each")
+        self.bits = bits
+        self.unit = 1 << bits
+        self.scaled = [int(s) % self.unit for s in scaled]
+        self.offsets = [int(t) % self.unit for t in offsets]
+        self.steps = [step128(s, bits) for s in self.scaled]
+
+    def _anchors(self, start: int) -> list[int]:
+        """Top 128 bits of (scaled*start - offset) mod 2**bits, per coordinate."""
+        return [step128(s * start - t, self.bits) for s, t in zip(self.scaled, self.offsets)]
+
+    def _exact(self, q: int) -> int:
+        """The exact residual of q, in units of 2**-bits."""
+        vs = [(s * q - t) % self.unit for s, t in zip(self.scaled, self.offsets)]
+        return max(min(v, self.unit - v) for v in vs)
 
     def _coord_dists(self, step: int, anchor: int, idx: np.ndarray) -> np.ndarray:
         # 32-bit limb school multiplication, carried mod 2**128; only the
@@ -160,55 +168,34 @@ class ResidualKernel:
         hi |= (s & _M32) << _SHIFT32
         return np.minimum(hi, np.uint64(0) - hi)
 
-    def residuals(self, start: int, n: int) -> np.ndarray:
-        """uint64 residual array for q = start, start+1, ..., start+n-1."""
-        if n <= 0:
-            return np.zeros(0, dtype=np.uint64)
-        if n >= (1 << 30):
-            raise ValueError("single residual block limited to 2**30 entries; use chunks()")
-        idx = np.arange(n, dtype=np.uint64)
+    def _max_dists(self, start: int, idx: np.ndarray) -> np.ndarray:
         out = None
-        for step, off in zip(self.steps, self.offsets):
-            anchor = (step * start - off) % _MOD
+        for step, anchor in zip(self.steps, self._anchors(start)):
             d = self._coord_dists(step, anchor, idx)
             out = d if out is None else np.maximum(out, d, out=out)
         return out
+
+    def residuals(self, start: int, n: int) -> np.ndarray:
+        """uint64 residual array for q = start, start+1, ..., start+n-1."""
+        if n >= (1 << 30):
+            raise ValueError("single residual block limited to 2**30 entries; use chunks()")
+        return self._max_dists(start, np.arange(n, dtype=np.uint64))
 
     def chunks(self, lo: int, hi: int):
         """Yield (start, residual_array) covering q in [lo, hi] inclusive."""
-        q = lo
-        while q <= hi:
-            n = min(CHUNK, hi - q + 1)
-            yield q, self.residuals(q, n)
-            q += n
+        for q in range(lo, hi + 1, CHUNK):
+            yield q, self.residuals(q, min(CHUNK, hi - q + 1))
 
-    def residuals_at(self, qs: np.ndarray) -> np.ndarray:
-        """Residuals for an arbitrary array of nonnegative multipliers.
-
-        The limb products need qs < 2**30 to stay inside uint64; larger
-        multipliers should go through residuals()/chunks with a start
-        offset instead.
-        """
+    def residuals_at(self, qs) -> np.ndarray:
+        """uint64 residuals for an array of multipliers in [0, 2**30)."""
         qs = np.asarray(qs)
-        if qs.size == 0:
-            return np.zeros(0, dtype=np.uint64)
-        if qs.min() < 0 or qs.max() >= (1 << 30):
+        if qs.size and (qs.min() < 0 or qs.max() >= (1 << 30)):
             raise ValueError("residuals_at needs multipliers in [0, 2**30)")
-        idx = qs.astype(np.uint64)
-        out = None
-        for step, off in zip(self.steps, self.offsets):
-            anchor = (-off) % _MOD
-            d = self._coord_dists(step, anchor, idx)
-            out = d if out is None else np.maximum(out, d, out=out)
-        return out
+        return self._max_dists(0, qs.astype(np.uint64))
 
 
 def _hits(kernel: ResidualKernel, lo: int, hi: int, eps_u64: int):
-    """Yield (start, offsets) for each chunk holding a q with residual <= eps.
-
-    Offsets stay relative to the start, so first_solution can return a
-    Python int for starts past the int64 range.
-    """
+    """Yield (start, offsets) for each chunk holding a q with residual <= eps."""
     thr = np.uint64(eps_u64)
     for start, res in kernel.chunks(lo, hi):
         pos = np.nonzero(res <= thr)[0]
@@ -217,50 +204,55 @@ def _hits(kernel: ResidualKernel, lo: int, hi: int, eps_u64: int):
 
 
 def solutions_in(kernel: ResidualKernel, lo: int, hi: int, eps_u64: int) -> np.ndarray:
-    """All q in [lo, hi] with residual <= eps, ascending int64 array."""
-    found = [pos.astype(np.int64) + start
-             for start, pos in _hits(kernel, lo, hi, eps_u64)]
-    if not found:
-        return np.zeros(0, dtype=np.int64)
-    return np.concatenate(found)
+    """All q in [lo, hi] with residual <= eps, ascending: int64 when the
+    window fits in int64, else Python ints in an object array."""
+    dtype = np.int64 if -(1 << 63) <= lo and hi < (1 << 63) else object
+    found = [pos.astype(dtype) + start for start, pos in _hits(kernel, lo, hi, eps_u64)]
+    return np.concatenate([np.zeros(0, dtype), *found])
 
 
 def first_solution(kernel: ResidualKernel, lo: int, hi: int, eps_u64: int) -> int | None:
-    for start, pos in _hits(kernel, lo, hi, eps_u64):
-        return start + int(pos[0])
-    return None
+    return next((start + int(pos[0]) for start, pos in _hits(kernel, lo, hi, eps_u64)), None)
 
 
 def record_lows(kernel: ResidualKernel, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
-    """Strict record lows of the residual over [lo, hi].
+    """Strict record lows of the exact residual over [lo, hi].
 
     Returns (q values, uint64 dists); the first point is always a record.
     The last record at or below c is the earliest minimiser on [lo, c].
 
-    Each chunk evaluates coordinate 0 on every q but the other coordinates
-    only on the survivors, the q whose coordinate-0 distance is below the
-    running best at the chunk's start. Any other q has a residual at least
-    that best, so it can neither set a record nor lower the running
-    minimum, and the records are those of the full residual.
+    A q can set a record only if its distances, coordinate 0 included,
+    are below every earlier residual plus 2 * _SLACK. Each chunk evaluates
+    coordinate 0 on every q, the other coordinates only on the q that pass
+    that test against the chunk's start, and decides the q that pass it
+    against the running lowest on their exact residuals. Nothing beats an
+    exact zero, so the scan stops there.
     """
-    qs, ds = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.uint64)]
-    best = np.uint64(0xFFFFFFFFFFFFFFFF)
-    (step0, off0), *rest = zip(kernel.steps, kernel.offsets)
+    qs, ds = [], []
+    # no distance exceeds 1/2, so adding the margin never wraps
+    best = np.uint64(1 << 63)
+    best_exact = kernel.unit
+    step0, *rest = kernel.steps
     idx = np.arange(CHUNK, dtype=np.uint64)
     start = lo
-    while start <= hi:
+    while start <= hi and best_exact:
         n = min(CHUNK, hi - start + 1)
-        d0 = kernel._coord_dists(step0, (step0 * start - off0) % _MOD, idx[:n])
-        pos = np.flatnonzero(d0 < best)
+        anchor0, *anchors = kernel._anchors(start)
+        d0 = kernel._coord_dists(step0, anchor0, idx[:n])
+        pos = np.flatnonzero(d0 < best + 2 * _SLACK)
         res = d0[pos]
         survivors = pos.view(np.uint64)  # nonnegative, so the same values
-        for step, off in rest:
-            np.maximum(res, kernel._coord_dists(step, (step * start - off) % _MOD, survivors), out=res)
+        for step, anchor in zip(rest, anchors):
+            np.maximum(res, kernel._coord_dists(step, anchor, survivors), out=res)
         # run[i] is the lowest residual before survivor i, best included
         run = np.minimum.accumulate(np.concatenate(([best], res)))
-        mask = res < run[:-1]
-        qs.append(pos[mask] + start)
-        ds.append(res[mask])
+        for i in np.flatnonzero(res < run[:-1] + 2 * _SLACK).tolist():
+            q = start + int(pos[i])
+            exact = kernel._exact(q)
+            if exact < best_exact:
+                best_exact = exact
+                qs.append(q)
+                ds.append(int(res[i]))
         best = run[-1]
         start += n
-    return np.concatenate(qs), np.concatenate(ds)
+    return np.array(qs, dtype=np.int64), np.array(ds, dtype=np.uint64)

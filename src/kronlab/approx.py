@@ -30,22 +30,20 @@ from .errors import (
     KronlabError,
     PrecisionBudgetError,
     RationalFrequencyError,
+    ValidationError,
 )
 from .torus import FrequencyTuple, PrecisionReal, frac_mult, torus_norm
 
 
 def _kernel_for(freq: FrequencyTuple, target=None) -> fx.ResidualKernel:
-    steps = [fx.step128(c.scaled, c.bits) for c in freq.components]
-    offsets = None
-    if target is not None:
-        offsets = [fx.offset128(x) for x in target]
-    return fx.ResidualKernel(steps, offsets)
+    offsets = None if target is None else [fx.to_scaled(x, freq.bits) for x in target]
+    return fx.ResidualKernel([c.scaled for c in freq.components], offsets, freq.bits)
 
 
 def _window_bound(freq: FrequencyTuple, Q) -> int:
     n = math.floor(Fraction(Q))
     if n < 1:
-        raise ValueError(f"search window Q={Q} contains no positive integer")
+        raise ValidationError(f"search window Q={Q} contains no positive integer")
     if n > freq.q_max:
         raise PrecisionBudgetError(
             f"window {n} exceeds the declared q_max={freq.q_max}"
@@ -122,7 +120,7 @@ def continued_fraction(omega: PrecisionReal, terms: int) -> ContinuedFraction:
     input it means the requested depth exceeds what `bits` can support.
     """
     if terms < 1:
-        raise ValueError(f"need at least one term, got {terms}")
+        raise ValidationError(f"need at least one term, got {terms}")
     expansion = _expansion(omega)
     steps = list(itertools.islice(expansion, terms + 1))
     # the expansion ends only after a convergent matching the stored value
@@ -181,9 +179,9 @@ def repair_monotone(denominators) -> list[int]:
 
 def convergent_sequence(freq: FrequencyTuple, beta, K: int) -> ConvergentSequence:
     if not beta > 1:
-        raise ValueError(f"beta must exceed 1, got {beta}")
+        raise ValidationError(f"beta must exceed 1, got {beta}")
     if K < 1:
-        raise ValueError(f"need K >= 1 levels, got {K}")
+        raise ValidationError(f"need K >= 1 levels, got {K}")
     m = len(freq)
     b = Fraction(beta)
     checkpoints = [math.floor(b ** k) for k in range(1, K + 1)]
@@ -251,7 +249,7 @@ def verify_sequence_properties(seq: ConvergentSequence, nu: float = 0.0,
     """
     dens = seq.denominators
     if len(dens) < 3:
-        raise ValueError("diagnostics need at least 3 levels")
+        raise ValidationError("diagnostics need at least 3 levels")
     logs = np.log(np.asarray(dens, dtype=float))
 
     e, _ = np.polyfit(logs[:-1], logs[1:], 1)
@@ -302,7 +300,7 @@ def estimate_diophantine_order(freq: FrequencyTuple, q_max: int) -> DiophantineO
     """
     q_max = int(q_max)
     if q_max < 1:
-        raise ValueError(f"q_max must be positive, got {q_max}")
+        raise ValidationError(f"q_max must be positive, got {q_max}")
     if q_max > freq.q_max:
         raise PrecisionBudgetError(
             f"scan bound {q_max} exceeds the declared q_max={freq.q_max}"

@@ -17,6 +17,7 @@ import csv
 import inspect
 import json
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import click
@@ -27,10 +28,10 @@ from .dim import box_count, box_dimension_fit, diophantine_dimension_fit, theore
 from .errors import (
     BoundUndefinedError,
     BudgetExceededError,
-    DescriptorError,
     InsufficientDataError,
     PrecisionBudgetError,
     RationalFrequencyError,
+    ValidationError,
     WindowTooNarrowError,
 )
 from .kron import (
@@ -47,6 +48,11 @@ EXIT_VALIDATION = 2
 EXIT_PRECISION = 3
 EXIT_BUDGET = 4
 EXIT_DATA = 5
+# the exit code of each error type; any other exception is an internal
+# fault and exits 1 with its traceback
+_EXIT_CODES = {ValidationError: EXIT_VALIDATION, RationalFrequencyError: EXIT_VALIDATION,
+               PrecisionBudgetError: EXIT_PRECISION, BudgetExceededError: EXIT_BUDGET,
+               InsufficientDataError: EXIT_DATA, WindowTooNarrowError: EXIT_DATA}
 
 DEFAULT_SCALES = "0.25,0.125,0.0625,0.03125,0.015625,0.0078125,0.00390625"
 
@@ -97,7 +103,7 @@ def _parse_target(text: str | None, bits: int, m: int) -> TorusPoint:
         return TorusPoint([0.0] * m)
     parts = [d.strip() for d in text.split(",")]
     if len(parts) != m:
-        raise ValueError(f"target has {len(parts)} coordinates, frequency has {m}")
+        raise ValidationError(f"target has {len(parts)} coordinates, frequency has {m}")
     coords = []
     for d in parts:
         p = PrecisionReal.parse(d, bits)
@@ -106,7 +112,11 @@ def _parse_target(text: str | None, bits: int, m: int) -> TorusPoint:
 
 
 def _parse_floats(text: str) -> list[float]:
-    return [float(v) for v in text.split(",") if v.strip() != ""]
+    # Fraction refuses nan and inf, and float() rounds it as it rounds the text
+    try:
+        return [float(Fraction(v)) for v in text.split(",") if v.strip() != ""]
+    except (ValueError, OverflowError) as exc:
+        raise ValidationError(f"not a list of finite numbers: {text!r}") from exc
 
 
 # ---------------------------------------------------------------- runners
@@ -212,15 +222,17 @@ def _run_dimension(freq: str | None, theta: str | None, eps: str | None,
                    seed_min: int, seed_factor: float, budget: int) -> int:
     outdir = _outdir(out)
     if from_csv is not None:
-        pairs = []
-        with open(from_csv, newline="") as f:
-            for rec in csv.DictReader(f):
-                pairs.append((float(rec["epsilon"]), float(rec["l_hat"]),
-                              rec.get("truncated", "0") in ("1", "True", "true")))
+        try:
+            with open(from_csv, newline="") as f:
+                pairs = [(float(rec["epsilon"]), float(rec["l_hat"]),
+                          rec.get("truncated", "0") in ("1", "True", "true"))
+                         for rec in csv.DictReader(f)]
+        except (OSError, KeyError, ValueError) as exc:
+            raise ValidationError(f"cannot read ladder rows from {from_csv}: {exc!r}") from exc
         dims = m
     else:
         if freq is None or eps is None:
-            raise ValueError("need --freq and --eps (or --from-csv)")
+            raise ValidationError("need --freq and --eps (or --from-csv)")
         frequency = _parse_frequency(freq, precision)
         target = _parse_target(theta, precision, len(frequency))
         policy = WindowPolicy(seed_min=seed_min, seed_factor=seed_factor, budget=budget)
@@ -339,18 +351,9 @@ def _execute(command: str, options: dict):
     """Run a command; on success or partial output, record its options."""
     try:
         code = _RUNNERS[command](**options)
-    except (DescriptorError, RationalFrequencyError, ValueError) as exc:
+    except tuple(_EXIT_CODES) as exc:
         click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_VALIDATION)
-    except PrecisionBudgetError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_PRECISION)
-    except BudgetExceededError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_BUDGET)
-    except (InsufficientDataError, WindowTooNarrowError) as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_DATA)
+        sys.exit(next(_EXIT_CODES[t] for t in type(exc).__mro__ if t in _EXIT_CODES))
     _write_manifest(Path(options["out"]), command, options)
     if code:
         sys.exit(code)

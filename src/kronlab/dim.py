@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BoundUndefinedError, InsufficientDataError
+from .errors import BoundUndefinedError, InsufficientDataError, ValidationError
 
 SATURATION = 0.98
 # finest box-count scale is 2**-MAX_SCALE_BITS: cell indices stay below 2**63
@@ -59,9 +59,9 @@ class DimensionEstimate:
 def _check_dyadic(scale: float) -> float:
     j = -math.log2(scale)
     if scale > 0.5 or abs(j - round(j)) > 1e-12:
-        raise ValueError(f"scale {scale} is not a dyadic fraction <= 1/2")
+        raise ValidationError(f"scale {scale} is not a dyadic fraction <= 1/2")
     if j > MAX_SCALE_BITS:
-        raise ValueError(f"scale {scale} is finer than 2**-{MAX_SCALE_BITS}")
+        raise ValidationError(f"scale {scale} is finer than 2**-{MAX_SCALE_BITS}")
     return float(scale)
 
 
@@ -130,12 +130,12 @@ def box_count(points, scales) -> BoxCountCurve:
     """
     arr = _as_rows(points)
     if arr.size == 0:
-        raise ValueError("empty point set")
+        raise ValidationError("empty point set")
     if not ((arr >= 0.0) & (arr < 1.0)).all():
-        raise ValueError("box_count needs coordinates in [0, 1)")
+        raise ValidationError("box_count needs coordinates in [0, 1)")
     eps_list = sorted({_check_dyadic(e) for e in scales}, reverse=True)
     if not eps_list:
-        raise ValueError("no scales given")
+        raise ValidationError("no scales given")
     d = arr.shape[1]
     levels = [round(-math.log2(eps)) for eps in eps_list]
     # x * 2**J is exact and below 2**J <= 2**63, so the cast is exact
@@ -210,12 +210,12 @@ def _ladder_pairs(ladder) -> list[tuple[float, float]]:
             eps, l_hat = row
             truncated = False
         if truncated:
-            raise ValueError(
+            raise ValidationError(
                 f"truncated row at epsilon={eps}: filter unclean rows "
                 f"before fitting, they bias the slope low"
             )
         if l_hat <= 0:
-            raise ValueError(f"nonpositive length {l_hat} at epsilon={eps}")
+            raise ValidationError(f"nonpositive length {l_hat} at epsilon={eps}")
         pairs.append((float(eps), float(l_hat)))
     return pairs
 
@@ -231,7 +231,7 @@ def diophantine_dimension_fit(ladder) -> DimensionEstimate:
         raise InsufficientDataError(f"need at least 4 clean rows, got {len(pairs)}")
     eps = [e for e, _ in pairs]
     if any(b >= a for a, b in zip(eps, eps[1:])):
-        raise ValueError("epsilon values must be strictly decreasing")
+        raise ValidationError("epsilon values must be strictly decreasing")
     return _loglog_fit(pairs)
 
 
@@ -252,11 +252,11 @@ def theoretical_bounds(m: int, n: int, nu: float, d: float) -> BoundBracket:
     bound.
     """
     if m < 1 or n < 1:
-        raise ValueError(f"need m >= 1 and n >= 1, got m={m}, n={n}")
+        raise ValidationError(f"need m >= 1 and n >= 1, got m={m}, n={n}")
     if nu < 0:
-        raise ValueError(f"order nu must be nonnegative, got {nu}")
+        raise ValidationError(f"order nu must be nonnegative, got {nu}")
     if not 0 <= d <= m + n:
-        raise ValueError(f"ambient dimension d={d} outside [0, {m + n}]")
+        raise ValidationError(f"ambient dimension d={d} outside [0, {m + n}]")
     hypothesis = nu * (m - 1)
     if hypothesis >= 1:
         raise BoundUndefinedError(
@@ -270,7 +270,7 @@ def theoretical_bounds(m: int, n: int, nu: float, d: float) -> BoundBracket:
 def holder_bound(di_base: float, alpha: float) -> float:
     """Dimension ceiling after composing with an alpha-Holder map."""
     if not 0.0 < alpha <= 1.0:
-        raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
+        raise ValidationError(f"alpha must lie in (0, 1], got {alpha}")
     if di_base < 0:
-        raise ValueError(f"base dimension must be nonnegative, got {di_base}")
+        raise ValidationError(f"base dimension must be nonnegative, got {di_base}")
     return di_base / alpha

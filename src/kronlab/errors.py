@@ -5,7 +5,11 @@ class KronlabError(Exception):
     """Base class for package-specific failures."""
 
 
-class DescriptorError(KronlabError, ValueError):
+class ValidationError(KronlabError, ValueError):
+    """An input outside what the called function accepts."""
+
+
+class DescriptorError(ValidationError):
     """A frequency/target descriptor string could not be parsed."""
 
 

@@ -27,6 +27,7 @@ from .approx import ConvergentSequence, _kernel_for
 from .errors import (
     BudgetExceededError,
     PrecisionBudgetError,
+    ValidationError,
     WindowTooNarrowError,
 )
 from .torus import (
@@ -50,12 +51,12 @@ class KroneckerInstance:
 
     def __post_init__(self):
         if not (0.0 < self.epsilon <= 0.5):
-            raise ValueError(
+            raise ValidationError(
                 f"epsilon={self.epsilon} outside (0, 1/2]; at 1/2 every "
                 f"integer already solves, beyond it nothing is asked"
             )
         if len(self.target) != len(self.frequency):
-            raise ValueError(
+            raise ValidationError(
                 f"target dimension {len(self.target)} != frequency "
                 f"dimension {len(self.frequency)}"
             )
@@ -67,7 +68,7 @@ class KroneckerInstance:
 
 def _guard_window(freq: FrequencyTuple, a: int, b: int):
     if a > b:
-        raise ValueError(f"empty window [{a}, {b}]")
+        raise ValidationError(f"empty window [{a}, {b}]")
     if max(abs(a), abs(b)) > freq.q_max:
         raise PrecisionBudgetError(
             f"window [{a}, {b}] exceeds the declared q_max={freq.q_max}"
@@ -79,8 +80,7 @@ def solve_in_interval(inst: KroneckerInstance, a: int, b: int) -> int | None:
     a, b = int(a), int(b)
     _guard_window(inst.frequency, a, b)
     kernel = _kernel_for(inst.frequency, inst.target)
-    q = fx.first_solution(kernel, a, b, fx.eps_to_u64(inst.epsilon))
-    return None if q is None else int(q)
+    return fx.first_solution(kernel, a, b, fx.eps_to_u64(inst.epsilon))
 
 
 @dataclass(frozen=True)
@@ -163,12 +163,12 @@ def inclusion_length_ladder(freq: FrequencyTuple, target: TorusPoint,
         policy = WindowPolicy()
     eps_list = [float(e) for e in epsilons]
     if not eps_list:
-        raise ValueError("empty epsilon ladder")
+        raise ValidationError("empty epsilon ladder")
     for e in eps_list:
         if not (0.0 < e <= 0.5):
-            raise ValueError(f"epsilon={e} outside (0, 1/2]")
+            raise ValidationError(f"epsilon={e} outside (0, 1/2]")
     if any(b >= a for a, b in zip(eps_list, eps_list[1:])):
-        raise ValueError("epsilon ladder must be strictly decreasing")
+        raise ValidationError("epsilon ladder must be strictly decreasing")
 
     m = len(freq)
     budget = min(policy.budget, freq.q_max)
@@ -255,7 +255,7 @@ class AlmostPeriod:
 def greedy_almost_period(seq: ConvergentSequence, target, k0: int) -> AlmostPeriod:
     dens = seq.denominators
     if not 1 <= k0 <= len(dens):
-        raise ValueError(f"k0={k0} out of range 1..{len(dens)}")
+        raise ValidationError(f"k0={k0} out of range 1..{len(dens)}")
     goal = target if isinstance(target, (int, float)) else Fraction(target)
     sign = -1 if goal < 0 else 1
     # the denominators are integers, so floor((|goal| - n) / q) and every
@@ -309,11 +309,11 @@ class QualityRecord:
 def almost_period_quality(seq: ConvergentSequence, k0: int, sample_targets,
                           nu: float = 0.0) -> QualityRecord:
     if not 1 <= k0 <= len(seq.denominators):
-        raise ValueError(f"k0={k0} out of range 1..{len(seq.denominators)}")
+        raise ValidationError(f"k0={k0} out of range 1..{len(seq.denominators)}")
     m = len(seq.frequency)
     eta = (1.0 - nu * (m - 1)) / m
     if eta <= 0:
-        raise ValueError(
+        raise ValidationError(
             f"nu={nu} gives a nonpositive exponent eta at m={m}; the "
             f"quality scale needs nu*(m-1) < 1"
         )
@@ -363,15 +363,15 @@ class FrequencyMatrix:
     def __init__(self, rows, q_max: int | None = None):
         rows = tuple(tuple(r) for r in rows)
         if not rows or not rows[0]:
-            raise ValueError("matrix needs at least one row and one column")
+            raise ValidationError("matrix needs at least one row and one column")
         n = len(rows[0])
         if any(len(r) != n for r in rows):
-            raise ValueError("ragged matrix rows")
+            raise ValidationError("ragged matrix rows")
         bits = rows[0][0].bits
         for r in rows:
             for c in r:
                 if c.bits != bits:
-                    raise ValueError("all entries must share the same precision")
+                    raise ValidationError("all entries must share the same precision")
         if q_max is None:
             q_max = 1 << (bits - 32)
         if q_max > (1 << (bits - 32)):
@@ -401,7 +401,7 @@ class FrequencyMatrix:
         """Exact image of an integer vector on the torus."""
         vector = [int(v) for v in vector]
         if len(vector) != self.n:
-            raise ValueError(f"vector length {len(vector)} != n={self.n}")
+            raise ValidationError(f"vector length {len(vector)} != n={self.n}")
         if any(abs(v) > self.q_max for v in vector):
             raise PrecisionBudgetError("vector coordinate exceeds q_max budget")
         unit = 1 << self.bits
@@ -430,7 +430,7 @@ class ExtendedSystem:
 
 def build_extended(matrix: FrequencyMatrix, target: TorusPoint) -> ExtendedSystem:
     if len(target) != matrix.m:
-        raise ValueError(
+        raise ValidationError(
             f"target dimension {len(target)} != matrix rows {matrix.m}"
         )
     bits = matrix.bits
@@ -454,16 +454,16 @@ def matrix_solution_scan(matrix: FrequencyMatrix, target: TorusPoint, epsilon: f
     vectorized through the kernel, the others are enumerated.
     """
     if not (0.0 < epsilon <= 0.5):
-        raise ValueError(f"epsilon={epsilon} outside (0, 1/2]")
+        raise ValidationError(f"epsilon={epsilon} outside (0, 1/2]")
     if len(target) != matrix.m:
-        raise ValueError(f"target dimension {len(target)} != m={matrix.m}")
+        raise ValidationError(f"target dimension {len(target)} != m={matrix.m}")
     box = [(int(lo), int(hi)) for lo, hi in box]
     if len(box) != matrix.n:
-        raise ValueError(f"box has {len(box)} axes for n={matrix.n} columns")
+        raise ValidationError(f"box has {len(box)} axes for n={matrix.n} columns")
     volume = 1
     for lo, hi in box:
         if lo > hi:
-            raise ValueError(f"empty box axis [{lo}, {hi}]")
+            raise ValidationError(f"empty box axis [{lo}, {hi}]")
         if max(abs(lo), abs(hi)) > matrix.q_max:
             raise PrecisionBudgetError("box exceeds the q_max budget")
         volume *= hi - lo + 1
@@ -472,19 +472,17 @@ def matrix_solution_scan(matrix: FrequencyMatrix, target: TorusPoint, epsilon: f
             f"box volume {volume} exceeds the scan budget {budget}"
         )
 
-    unit = 1 << matrix.bits
     last_lo, last_hi = box[-1]
-    steps = [fx.step128(row[-1].scaled, matrix.bits) for row in matrix.rows]
-    theta_off = [fx.offset128(x) for x in target]
+    last = [row[-1].scaled for row in matrix.rows]
+    theta = [fx.to_scaled(x, matrix.bits) for x in target]
     eps_u64 = fx.eps_to_u64(epsilon)
     out: list[tuple[int, ...]] = []
     prefix_axes = [range(lo, hi + 1) for lo, hi in box[:-1]]
     for prefix in itertools.product(*prefix_axes):
-        offsets = []
-        for j, row in enumerate(matrix.rows):
-            pref = sum(row[i].scaled * prefix[i] for i in range(matrix.n - 1)) % unit
-            offsets.append((theta_off[j] - fx.step128(pref, matrix.bits)) % (1 << 128))
-        kernel = fx.ResidualKernel(steps, offsets)
+        # the prefix columns fold exactly into each row's target
+        offsets = [t - sum(c.scaled * p for c, p in zip(row, prefix))
+                   for row, t in zip(matrix.rows, theta)]
+        kernel = fx.ResidualKernel(last, offsets, matrix.bits)
         hits = fx.solutions_in(kernel, last_lo, last_hi, eps_u64)
         out.extend(prefix + (int(q),) for q in hits)
     return out
@@ -509,10 +507,12 @@ def orbit_sample(matrix: FrequencyMatrix, lattice: str, count: int,
     redone with Python integers.
     """
     if lattice not in ("integer", "real"):
-        raise ValueError(f"lattice must be 'integer' or 'real', got {lattice!r}")
+        raise ValidationError(f"lattice must be 'integer' or 'real', got {lattice!r}")
+    if step is not None and not math.isfinite(step):
+        raise ValidationError(f"step {step} is not a finite number")
     count = int(count)
     if count < 1:
-        raise ValueError(f"count must be positive, got {count}")
+        raise ValidationError(f"count must be positive, got {count}")
     n = matrix.n
     side = max(1, round(count ** (1.0 / n)))
     while side ** n < count:
@@ -531,7 +531,7 @@ def orbit_sample(matrix: FrequencyMatrix, lattice: str, count: int,
         scaled_rows = [[c.scaled * st for c in row] for row in matrix.rows]
     if n * side >= 1 << 32:
         # the limb sums of fx.dot_hi64 are exact only below this
-        raise ValueError(f"count {count} needs n * side < 2**32 (n={n}, side={side})")
+        raise ValidationError(f"count {count} needs n * side < 2**32 (n={n}, side={side})")
     # digits of index = 0, 1, ... in base side, first coordinate most
     # significant: the row-major walk of the cube [0, side)**n
     index = np.arange(count, dtype=np.uint64)

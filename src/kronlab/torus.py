@@ -21,7 +21,7 @@ from fractions import Fraction
 import mpmath
 
 from ._fixedpoint import frac_to_unit_float, to_scaled
-from .errors import DescriptorError, PrecisionBudgetError
+from .errors import DescriptorError, PrecisionBudgetError, ValidationError
 
 DEFAULT_BITS = 192
 
@@ -239,14 +239,14 @@ class FrequencyTuple:
                  q_max: int | None = None):
         components = tuple(components)
         if not components:
-            raise ValueError("frequency tuple needs at least one component")
+            raise ValidationError("frequency tuple needs at least one component")
         bits = components[0].bits
         if any(c.bits != bits for c in components):
-            raise ValueError("all components must share the same precision")
+            raise ValidationError("all components must share the same precision")
         if q_max is None:
             q_max = 1 << (bits - 32)
         if q_max < 1:
-            raise ValueError(f"q_max must be positive, got {q_max}")
+            raise ValidationError(f"q_max must be positive, got {q_max}")
         if q_max > (1 << (bits - 32)):
             raise PrecisionBudgetError(
                 f"q_max={q_max} needs more than bits={bits} of precision; "
@@ -293,7 +293,7 @@ class TorusPoint(tuple):
         coords = tuple(float(c) for c in coords)
         for c in coords:
             if not (0.0 <= c < 1.0):
-                raise ValueError(f"torus coordinate {c} outside [0, 1)")
+                raise ValidationError(f"torus coordinate {c} outside [0, 1)")
         return super().__new__(cls, coords)
 
     @classmethod
@@ -324,7 +324,7 @@ def torus_norm(point) -> float:
 def torus_dist(p, q) -> float:
     """Sup-metric distance between two torus points."""
     if len(p) != len(q):
-        raise ValueError("dimension mismatch")
+        raise ValidationError("dimension mismatch")
     best = 0.0
     for x, y in zip(p, q):
         d = abs(x - y)

@@ -1,5 +1,6 @@
 """Window argmins, continued fractions, and denominator ladders."""
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -306,3 +307,33 @@ class TestDiophantineOrder:
         small = FrequencyTuple.parse("golden-1", bits=64)
         with pytest.raises(PrecisionBudgetError):
             estimate_diophantine_order(small, small.q_max + 1)
+
+
+def exact_records(freq: FrequencyTuple, n: int) -> list[int]:
+    """Record lows of the exact residual of the stored integers on [1, n]."""
+    unit = 1 << freq.bits
+    best, records = unit, []
+    for q in range(1, n + 1):
+        d = max(min(v, unit - v) for v in (c.scaled * q % unit for c in freq))
+        if d < best:
+            records.append(q)
+            best = d
+    return records
+
+
+def test_dirichlet_search_decides_ties_on_the_stored_integers():
+    # q = 1 and q = 999 agree to 2**-64; on the stored 192-bit integers
+    # 999 is lower by 208 units of 2**-192
+    freq = FrequencyTuple.parse(["1/1000", "1/500"])
+    assert dirichlet_search(freq, 999) == 999
+    assert _record_lows(freq, 999) == exact_records(freq, 999)
+
+
+@pytest.mark.parametrize("case", range(16))
+def test_record_lows_of_small_rationals_equal_exact_brute_force(case):
+    rng = random.Random(f"rational-records:{case}")
+    m = 2 + case % 2
+    dens = [rng.randrange(2, 60) for _ in range(m)]
+    freq = FrequencyTuple.parse([f"{rng.randrange(1, d)}/{d}" for d in dens])
+    n = rng.randrange(500, 3000)
+    assert _record_lows(freq, n) == exact_records(freq, n)

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
+from kronlab import FrequencyTuple, KroneckerInstance, TorusPoint, ValidationError, cli
 from kronlab.cli import main
 
 
@@ -223,3 +224,23 @@ class TestManifestReplay:
         r = run("convergents", "--freq", "golden-1", "--precision", 64,
                 "--k", 40, "--out", tmp_path)
         assert r.exit_code == 3
+
+
+class TestInternalFaults:
+    def test_validation_error_is_a_value_error(self):
+        freq = FrequencyTuple.parse("golden-1")
+        with pytest.raises(ValidationError) as info:
+            KroneckerInstance(freq, TorusPoint([0.0]), 0.6)
+        assert isinstance(info.value, ValueError)
+        with pytest.raises(ValidationError):
+            cli._parse_floats("0.1,x")
+
+    def test_plain_value_error_exits_1_with_traceback(self, tmp_path, monkeypatch):
+        def broken(**options):
+            raise ValueError("an internal fault, not bad input")
+        monkeypatch.setitem(cli._RUNNERS, "bounds", broken)
+        r = run("bounds", "--m", 2, "--out", tmp_path)
+        assert r.exit_code == 1
+        assert isinstance(r.exception, ValueError)
+        assert not isinstance(r.exception, ValidationError)
+        assert not (tmp_path / "manifest.json").exists()

@@ -1,5 +1,6 @@
 """The integer kernel against a pure big-int reference implementation."""
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -19,6 +20,11 @@ def ref_dist(step: int, off: int, q: int) -> int:
 
 def ref_residual(steps, offsets, q):
     return max(ref_dist(s, o, q) for s, o in zip(steps, offsets))
+
+
+def exact_residual(steps, offsets, q):
+    """The residual of the 128-bit integers themselves, in units of 2**-128."""
+    return max(min(r, MOD - r) for r in ((s * q - o) % MOD for s, o in zip(steps, offsets)))
 
 
 def test_to_scaled_rounds_half_even():
@@ -84,6 +90,19 @@ def test_residuals_match_bigint_reference(steps, offsets, start, n):
         assert int(res[i]) == ref_residual(steps, offsets, start + i)
 
 
+@given(st.data(), st.integers(min_value=1, max_value=3),
+       st.integers(min_value=-(1 << 160), max_value=1 << 160),
+       st.integers(min_value=1, max_value=200))
+def test_192_bit_distances_within_slack_of_exact(data, m, start, n):
+    # anchors come from the full integers, so the bound holds at any start
+    stored = st.lists(st.integers(min_value=0, max_value=(1 << 192) - 1), min_size=m, max_size=m)
+    kernel = fx.ResidualKernel(data.draw(stored), data.draw(stored), 192)
+    res = kernel.residuals(start, n)
+    for i in (0, n // 2, n - 1):
+        exact = Fraction(kernel._exact(start + i), 1 << 128)  # units of 2**-64
+        assert abs(int(res[i]) - exact) < fx._SLACK
+
+
 @given(st.lists(kernel_ints, min_size=1, max_size=2),
        kernel_ints,
        st.lists(st.integers(min_value=0, max_value=(1 << 30) - 1),
@@ -129,9 +148,10 @@ def test_last_record_low_is_earliest_argmin(step, off, lo, width, chunk):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(fx, "CHUNK", chunk)
         qs, ds = fx.record_lows(kernel, lo, hi)
-    dists = [ref_dist(step, off, x) for x in range(lo, hi + 1)]
-    assert int(ds[-1]) == min(dists)
-    assert int(qs[-1]) == lo + dists.index(min(dists))
+    exact = [exact_residual([step], [off], x) for x in range(lo, hi + 1)]
+    argmin = lo + exact.index(min(exact))
+    assert int(qs[-1]) == argmin
+    assert int(ds[-1]) == ref_dist(step, off, argmin)
 
 
 @given(st.integers(min_value=1, max_value=MOD - 1),
@@ -139,33 +159,28 @@ def test_last_record_low_is_earliest_argmin(step, off, lo, width, chunk):
 def test_record_lows_equals_brute_force(step, hi):
     kernel = fx.ResidualKernel([step], [0])
     qs, ds = fx.record_lows(kernel, 1, hi)
-    best = U64
-    want = []
-    for q in range(1, hi + 1):
-        d = ref_dist(step, 0, q)
-        if d < best:
-            want.append((q, d))
-            best = d
-    assert list(zip(qs.tolist(), ds.tolist())) == want
+    assert list(zip(qs.tolist(), ds.tolist())) == ref_record_lows([step], [0], 1, hi)
 
 
 def ref_record_lows(steps, offsets, lo, hi):
-    best, want = U64, []
+    """Records of the exact residual, each with its top-64-bit residual."""
+    best, want = MOD, []
     for q in range(lo, hi + 1):
-        d = ref_residual(steps, offsets, q)
+        d = exact_residual(steps, offsets, q)
         if d < best:
-            want.append((q, d))
+            want.append((q, ref_residual(steps, offsets, q)))
             best = d
     return want
 
 
 def ref_survivors(steps, offsets, lo, hi, chunk):
     """Count the q whose coordinate-0 distance is below the best residual
-    of all earlier chunks: the q whose other coordinates need evaluating."""
+    of all earlier chunks plus the kernel's error margin: the q whose other
+    coordinates need evaluating."""
     best, count = U64, 0
     for start in range(lo, hi + 1, chunk):
         qs = range(start, min(start + chunk, hi + 1))
-        count += sum(ref_dist(steps[0], offsets[0], q) < best for q in qs)
+        count += sum(ref_dist(steps[0], offsets[0], q) < best + 2 * fx._SLACK for q in qs)
         best = min([best] + [ref_residual(steps, offsets, q) for q in qs])
     return count
 

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import kronlab
+from kronlab._fixedpoint import to_scaled
 from kronlab import (
     BudgetExceededError,
     GOLDEN_CONJUGATE_STEP,
@@ -524,3 +525,106 @@ class TestOrbitSample:
             orbit_sample(mat, "integer", 0)
         with pytest.raises(ValueError):
             orbit_sample(mat, "hex", 10)
+
+
+# ------------------------------------------- exact over the whole budget
+
+TRUST = Fraction(1, 1 << 32)
+DEEP_FREQS = {m: FrequencyTuple.parse(["sqrt(2)-1", "pi-3", "e-2"][:m]) for m in (1, 2, 3)}
+DEEP_EPS = {1: 0.01, 2: 0.05, 3: 0.15}
+DEEP_MATRIX = FrequencyMatrix.parse("sqrt(2)-1,pi-3;e-2,sqrt(3)-1")
+
+
+def exact_dist(rows, offsets, bits, vec) -> int:
+    """Sup-norm residual of rows * vec - offsets on the stored integers, over 2**bits."""
+    unit = 1 << bits
+    worst = 0
+    for row, t in zip(rows, offsets):
+        v = (sum(s * x for s, x in zip(row, vec)) - t) % unit
+        worst = max(worst, min(v, unit - v))
+    return worst
+
+
+def trust_band(eps, bits) -> tuple[Fraction, Fraction]:
+    """Residuals below the first must solve, above the second must not."""
+    unit = 1 << bits
+    return (Fraction(eps) - TRUST) * unit, (Fraction(eps) + TRUST) * unit
+
+
+@st.composite
+def deep_starts(draw, q_max: int, width: int) -> int:
+    """A window start with log-uniform magnitude and either sign, inside the budget."""
+    b = draw(st.integers(min_value=0, max_value=q_max.bit_length() - 1))
+    mag = draw(st.integers(min_value=(1 << b) >> 1, max_value=1 << b))
+    start = mag if draw(st.booleans()) else -mag
+    return max(-q_max, min(start, q_max - width))
+
+
+grid_coords = st.integers(min_value=0, max_value=(1 << 53) - 1).map(lambda k: k / (1 << 53))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data(), st.integers(min_value=1, max_value=3),
+       st.integers(min_value=1, max_value=2000))
+def test_scans_match_exact_residuals_across_the_budget(data, m, width):
+    freq = DEEP_FREQS[m]
+    lo = data.draw(deep_starts(freq.q_max, width))
+    hi = lo + width
+    target = TorusPoint(data.draw(st.lists(grid_coords, min_size=m, max_size=m)))
+    eps = DEEP_EPS[m]
+    rows = [[c.scaled] for c in freq]
+    offsets = [to_scaled(x, freq.bits) for x in target]
+    dists = {q: exact_dist(rows, offsets, freq.bits, [q]) for q in range(lo, hi + 1)}
+    must, never = trust_band(eps, freq.bits)
+    certain = [q for q, d in dists.items() if d < must]
+    inst = KroneckerInstance(freq, target, eps)
+    try:
+        sols = gap_scan(inst, lo, hi).solutions.tolist()
+    except WindowTooNarrowError as exc:
+        assert len(certain) <= exc.found < 2
+    else:
+        assert all(dists[q] <= never for q in sols)
+        assert set(certain) <= set(sols)
+    first = solve_in_interval(inst, lo, hi)
+    if first is None:
+        assert not certain
+    else:
+        assert dists[first] <= never
+        assert not certain or first <= certain[0]
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.data(), st.integers(min_value=1, max_value=1500))
+def test_matrix_scan_last_axis_matches_exact_residuals(data, width):
+    mat = DEEP_MATRIX
+    prefix = data.draw(deep_starts(mat.q_max, 0))
+    lo = data.draw(deep_starts(mat.q_max, width))
+    hi = lo + width
+    target = TorusPoint(data.draw(st.lists(grid_coords, min_size=2, max_size=2)))
+    eps = 0.05
+    rows = [[c.scaled for c in row] for row in mat.rows]
+    offsets = [to_scaled(x, mat.bits) for x in target]
+    must, never = trust_band(eps, mat.bits)
+    hits = matrix_solution_scan(mat, target, eps, [(prefix, prefix), (lo, hi)])
+    assert all(p == prefix for p, _ in hits)
+    found = {q for _, q in hits}
+    for q in range(lo, hi + 1):
+        d = exact_dist(rows, offsets, mat.bits, [prefix, q])
+        assert d <= never if q in found else d >= must
+
+
+def test_solution_dtype_follows_the_window():
+    freq = DEEP_FREQS[1]
+    inst = KroneckerInstance(freq, TorusPoint([0.3]), 0.01)
+    inside = gap_scan(inst, (1 << 62), (1 << 62) + 3000)
+    assert inside.solutions.dtype == np.int64
+    for lo in ((1 << 63) - 1500, -(1 << 63) - 1500, 1 << 150):
+        scan = gap_scan(inst, lo, lo + 3000)
+        sols = scan.solutions.tolist()
+        assert scan.solutions.dtype == object
+        assert all(type(q) is int for q in sols)
+        gaps = [b - a for a, b in zip(sols, sols[1:])]
+        assert scan.gaps.tolist() == gaps
+        assert scan.l_hat == max(gaps)
+        worst = max(torus_norm(frac_mult(freq, b - a)) for a in sols for b in sols)
+        assert max_pair_residual(scan) == worst
