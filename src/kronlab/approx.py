@@ -178,8 +178,8 @@ def repair_monotone(denominators) -> list[int]:
 
 
 def convergent_sequence(freq: FrequencyTuple, beta, K: int) -> ConvergentSequence:
-    if not beta > 1:
-        raise ValidationError(f"beta must exceed 1, got {beta}")
+    if not 1 < beta < math.inf:
+        raise ValidationError(f"beta must be finite and exceed 1, got {beta}")
     if K < 1:
         raise ValidationError(f"need K >= 1 levels, got {K}")
     m = len(freq)

@@ -9,7 +9,8 @@ an environment variable, or a random source.
 
 Exit codes are part of the contract: 0 success, 2 bad input, 3 precision
 budget refused, 4 scan budget exhausted (partial output still written),
-5 not enough data to fit.
+5 not enough data to fit. Files are written only after the command has
+finished and always with their manifest, so exits 2, 3 and 5 write nothing.
 """
 from __future__ import annotations
 
@@ -56,42 +57,29 @@ _EXIT_CODES = {ValidationError: EXIT_VALIDATION, RationalFrequencyError: EXIT_VA
 
 DEFAULT_SCALES = "0.25,0.125,0.0625,0.03125,0.015625,0.0078125,0.00390625"
 
-
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "1" if value else "0"
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+# CSV rows formatted and written per block, so a large table is never one string
+_CSV_BLOCK = 4096
 
 
-def _write_csv(path: Path, header, rows):
+def _write(path: Path, payload):
+    """Write a (header, rows) table as CSV, anything else as JSON.
+
+    A CSV cell is empty for None, 1 or 0 for a bool, repr for a float and
+    str otherwise; no cell holds a comma, a quote or a newline.
+    """
+    if not isinstance(payload, tuple):
+        path.write_text(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n")
+        return
+    header, rows = payload
     with open(path, "w", newline="") as f:
-        w = csv.writer(f, lineterminator="\n")
-        w.writerow(header)
-        for row in rows:
-            w.writerow([_fmt(v) for v in row])
-
-
-def _write_json(path: Path, payload):
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-
-
-def _write_manifest(outdir: Path, command: str, options: dict):
-    _write_json(outdir / "manifest.json", {
-        "tool": "kronlab",
-        "version": __version__,
-        "command": command,
-        "options": options,
-    })
-
-
-def _outdir(out: str) -> Path:
-    p = Path(out)
-    p.mkdir(parents=True, exist_ok=True)
-    return p
+        f.write(",".join(header) + "\n")
+        for start in range(0, len(rows), _CSV_BLOCK):
+            columns = [["" if v is None
+                        else ("1" if v else "0") if isinstance(v, bool)
+                        else repr(v) if isinstance(v, float)
+                        else str(v) for v in column]
+                       for column in zip(*rows[start:start + _CSV_BLOCK])]
+            f.write("".join(",".join(cells) + "\n" for cells in zip(*columns)))
 
 
 def _parse_frequency(text: str, bits: int) -> FrequencyTuple:
@@ -121,11 +109,12 @@ def _parse_floats(text: str) -> list[float]:
 
 # ---------------------------------------------------------------- runners
 # Each runner takes plain JSON-friendly keyword arguments (exactly what
-# the manifest stores; _execute writes it) and returns an exit code.
+# the manifest stores) and touches no file. It returns its exit code, its
+# output files as a dict from name to payload (a (header, rows) table or a
+# JSON value) and the text to print; _execute writes them.
 
 def _run_convergents(freq: str, beta: float, k: int, precision: int,
-                     out: str, fmt: str) -> int:
-    outdir = _outdir(out)
+                     out: str, fmt: str):
     frequency = _parse_frequency(freq, precision)
     seq = convergent_sequence(frequency, beta, k)
     m = len(frequency)
@@ -139,17 +128,16 @@ def _run_convergents(freq: str, beta: float, k: int, precision: int,
             bound = None
         rows.append((i + 1, q, r, a_next, bound))
     if fmt == "json":
-        _write_json(outdir / "sequence.json", {
+        files = {"sequence.json": {
             "beta": seq.beta,
             "c_hat": seq.c_hat,
             "levels": [
                 {"k": k_, "q": q, "residual": r, "a_next": a, "a1_bound": b}
                 for k_, q, r, a, b in rows
             ],
-        })
+        }}
     else:
-        _write_csv(outdir / "sequence.csv",
-                   ["k", "q_k", "residual", "a_next", "a1_bound"], rows)
+        files = {"sequence.csv": (["k", "q_k", "residual", "a_next", "a1_bound"], rows)}
     diag = verify_sequence_properties(seq) if len(seq) >= 3 else None
     payload = {"beta": seq.beta, "c_hat": seq.c_hat, "levels": len(seq)}
     if diag is not None:
@@ -161,17 +149,12 @@ def _run_convergents(freq: str, beta: float, k: int, precision: int,
             "gamma_high": diag.gamma_high,
             "amplitude": diag.amplitude,
         })
-    _write_json(outdir / "diagnostics.json", payload)
-    click.echo(f"levels 1..{len(seq)}: q ends at {seq.denominators[-1]}, "
-               f"c_hat={seq.c_hat}")
-    return 0
+    files["diagnostics.json"] = payload
+    return 0, files, (f"levels 1..{len(seq)}: q ends at {seq.denominators[-1]}, "
+                      f"c_hat={seq.c_hat}")
 
 
-def _ladder_files(outdir: Path, rows):
-    _write_csv(outdir / "ladder.csv",
-               ["epsilon", "l_hat", "window_lo", "window_hi", "truncated"],
-               [(r.epsilon, r.l_hat, r.window[0], r.window[1], r.truncated)
-                for r in rows])
+def _ladder_files(rows) -> dict:
     sol_rows = []
     for r in rows:
         if r.scan is None:
@@ -180,30 +163,32 @@ def _ladder_files(outdir: Path, rows):
         for i, q in enumerate(sols):
             gap = sols[i + 1] - q if i + 1 < len(sols) else None
             sol_rows.append((r.epsilon, q, gap))
-    _write_csv(outdir / "solutions.csv", ["epsilon", "q", "gap_to_next"], sol_rows)
+    return {
+        "ladder.csv": (["epsilon", "l_hat", "window_lo", "window_hi", "truncated"],
+                       [(r.epsilon, r.l_hat, r.window[0], r.window[1], r.truncated)
+                        for r in rows]),
+        "solutions.csv": (["epsilon", "q", "gap_to_next"], sol_rows),
+    }
 
 
 def _run_scan(freq: str, theta: str | None, eps: str, precision: int,
               out: str, fmt: str, seed_min: int, seed_factor: float,
-              budget: int) -> int:
-    outdir = _outdir(out)
+              budget: int):
     frequency = _parse_frequency(freq, precision)
     target = _parse_target(theta, precision, len(frequency))
     ladder = _parse_floats(eps)
     policy = WindowPolicy(seed_min=seed_min, seed_factor=seed_factor, budget=budget)
     rows = inclusion_length_ladder(frequency, target, ladder, policy)
-    _ladder_files(outdir, rows)
+    files = _ladder_files(rows)
     if fmt == "json":
-        _write_json(outdir / "ladder.json", [
+        files["ladder.json"] = [
             {"epsilon": r.epsilon, "l_hat": r.l_hat,
              "window": list(r.window), "truncated": r.truncated}
             for r in rows
-        ])
-    dirty = sum(1 for r in rows if r.truncated)
-    for r in rows:
-        state = "truncated" if r.truncated else "clean"
-        click.echo(f"eps={r.epsilon}: l_hat={r.l_hat} on {r.window} ({state})")
-    return EXIT_BUDGET if dirty else 0
+        ]
+    lines = [f"eps={r.epsilon}: l_hat={r.l_hat} on {r.window} "
+             f"({'truncated' if r.truncated else 'clean'})" for r in rows]
+    return (EXIT_BUDGET if any(r.truncated for r in rows) else 0), files, "\n".join(lines)
 
 
 def _bound_bracket(m: int, n: int, nu: float, d: float) -> dict:
@@ -216,11 +201,17 @@ def _bound_bracket(m: int, n: int, nu: float, d: float) -> dict:
     return {"lower": bb.lower, "upper": bb.upper}
 
 
+def _estimate_fields(est) -> dict:
+    """The fields a DimensionEstimate contributes to estimate.json."""
+    fields = {f: getattr(est, f) for f in ("slope", "slope_lower", "slope_upper", "fit_residual")}
+    return {**fields, "samples": [list(p) for p in est.samples]}
+
+
 def _run_dimension(freq: str | None, theta: str | None, eps: str | None,
                    from_csv: str | None, m: int, n: int, nu: float,
                    d: float | None, precision: int, out: str, fmt: str,
-                   seed_min: int, seed_factor: float, budget: int) -> int:
-    outdir = _outdir(out)
+                   seed_min: int, seed_factor: float, budget: int):
+    files = {}
     if from_csv is not None:
         try:
             with open(from_csv, newline="") as f:
@@ -237,7 +228,7 @@ def _run_dimension(freq: str | None, theta: str | None, eps: str | None,
         target = _parse_target(theta, precision, len(frequency))
         policy = WindowPolicy(seed_min=seed_min, seed_factor=seed_factor, budget=budget)
         rows = inclusion_length_ladder(frequency, target, _parse_floats(eps), policy)
-        _ladder_files(outdir, rows)
+        files = _ladder_files(rows)
         pairs = [(r.epsilon, r.l_hat, r.truncated) for r in rows]
         dims = len(frequency)
 
@@ -255,86 +246,63 @@ def _run_dimension(freq: str | None, theta: str | None, eps: str | None,
     tol = 0.3
     within = bracket["lower"] - tol <= est.slope and (
         bracket["upper"] is None or est.slope <= bracket["upper"] + tol)
-    _write_json(outdir / "estimate.json", {
-        "slope": est.slope,
-        "slope_lower": est.slope_lower,
-        "slope_upper": est.slope_upper,
-        "fit_residual": est.fit_residual,
-        "samples": [list(p) for p in est.samples],
+    verdict = "within" if within else "outside"
+    files["estimate.json"] = {
+        **_estimate_fields(est),
         "rows_dropped_truncated": dropped,
         "bracket": bracket,
         "tolerance": tol,
-        "verdict": "within" if within else "outside",
-    })
-    click.echo(f"slope {est.slope:.4f} "
-               f"[{est.slope_lower:.4f}, {est.slope_upper:.4f}], "
-               f"verdict: {'within' if within else 'outside'}")
-    return 0
+        "verdict": verdict,
+    }
+    return 0, files, (f"slope {est.slope:.4f} "
+                      f"[{est.slope_lower:.4f}, {est.slope_upper:.4f}], verdict: {verdict}")
 
 
 def _run_orbit(matrix: str, lattice: str, count: int, step: float | None,
-               scales: str, precision: int, out: str, fmt: str) -> int:
-    outdir = _outdir(out)
+               scales: str, precision: int, out: str, fmt: str):
     mat = FrequencyMatrix.parse(matrix, precision)
     points = orbit_sample(mat, lattice, count, step)
-    _write_csv(outdir / "points.csv",
-               [f"x{j}" for j in range(mat.m)],
-               [tuple(p) for p in points])
     curve = box_count(points, _parse_floats(scales))
-    _write_csv(outdir / "boxcounts.csv", ["scale", "count"],
-               list(zip(curve.scales, curve.counts)))
     est = box_dimension_fit(curve)
-    _write_json(outdir / "estimate.json", {
-        "slope": est.slope,
-        "slope_lower": est.slope_lower,
-        "slope_upper": est.slope_upper,
-        "fit_residual": est.fit_residual,
-        "samples": [list(p) for p in est.samples],
-        "excluded_saturated": [list(p) for p in est.excluded],
-        "points_used": curve.points_used,
-        "ambient_dim": curve.ambient_dim,
-    })
-    click.echo(f"{len(points)} points, slope {est.slope:.4f}")
-    return 0
+    files = {
+        "points.csv": ([f"x{j}" for j in range(mat.m)], points),
+        "boxcounts.csv": (["scale", "count"], list(zip(curve.scales, curve.counts))),
+        "estimate.json": {
+            **_estimate_fields(est),
+            "excluded_saturated": [list(p) for p in est.excluded],
+            "points_used": curve.points_used,
+            "ambient_dim": curve.ambient_dim,
+        },
+    }
+    return 0, files, f"{len(points)} points, slope {est.slope:.4f}"
 
 
 def _run_bounds(m: int, n: int, nu: float, d: float | None, alpha: float,
-                out: str, fmt: str) -> int:
-    outdir = _outdir(out)
+                out: str, fmt: str):
     ambient = (m + n) if d is None else d
     payload = {"inputs": {"m": m, "n": n, "nu": nu, "d": ambient, "alpha": alpha},
                **_bound_bracket(m, n, nu, ambient)}
-    if payload["upper"] is not None:
-        payload["holder_upper"] = holder_bound(payload["upper"], alpha)
-    _write_json(outdir / "bounds.json", payload)
     upper = payload["upper"]
-    click.echo(f"lower {payload['lower']}, upper "
-               f"{'undefined' if upper is None else upper}")
-    return 0
+    if upper is not None:
+        payload["holder_upper"] = holder_bound(upper, alpha)
+    return 0, {"bounds.json": payload}, (
+        f"lower {payload['lower']}, upper {'undefined' if upper is None else upper}")
 
 
 def _run_almost_period(freq: str, beta: float, k: int, k0: int, targets: str,
-                       nu: float, precision: int, out: str, fmt: str) -> int:
-    outdir = _outdir(out)
+                       nu: float, precision: int, out: str, fmt: str):
     frequency = _parse_frequency(freq, precision)
     seq = convergent_sequence(frequency, beta, k)
     record = almost_period_quality(seq, k0, _parse_floats(targets), nu)
-    _write_csv(outdir / "periods.csv",
-               ["target", "tau", "residual", "reeval_residual"],
-               [(e.target, e.tau, e.residual, e.reeval_residual)
-                for e in record.entries])
-    _write_json(outdir / "quality.json", {
-        "k0": record.k0,
-        "nu": record.nu,
-        "eta": record.eta,
-        "max_residual": record.max_residual,
-        "c2_hat": record.c2_hat,
-        "max_reeval_gap": record.max_reeval_gap,
-        "consistent": record.consistent,
-    })
-    click.echo(f"k0={record.k0}: worst residual {record.max_residual}, "
-               f"c2_hat={record.c2_hat}")
-    return 0
+    files = {
+        "periods.csv": (["target", "tau", "residual", "reeval_residual"],
+                        [(e.target, e.tau, e.residual, e.reeval_residual)
+                         for e in record.entries]),
+        "quality.json": {f: getattr(record, f) for f in (
+            "k0", "nu", "eta", "max_residual", "c2_hat", "max_reeval_gap", "consistent")},
+    }
+    return 0, files, (f"k0={record.k0}: worst residual {record.max_residual}, "
+                      f"c2_hat={record.c2_hat}")
 
 
 _RUNNERS = {
@@ -348,13 +316,19 @@ _RUNNERS = {
 
 
 def _execute(command: str, options: dict):
-    """Run a command; on success or partial output, record its options."""
+    """Run a command, then write its files and manifest into --out."""
     try:
-        code = _RUNNERS[command](**options)
+        code, files, text = _RUNNERS[command](**options)
     except tuple(_EXIT_CODES) as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(next(_EXIT_CODES[t] for t in type(exc).__mro__ if t in _EXIT_CODES))
-    _write_manifest(Path(options["out"]), command, options)
+    files["manifest.json"] = {"tool": "kronlab", "version": __version__,
+                              "command": command, "options": options}
+    outdir = Path(options["out"])
+    outdir.mkdir(parents=True, exist_ok=True)
+    for name, payload in files.items():
+        _write(outdir / name, payload)
+    click.echo(text)
     if code:
         sys.exit(code)
 

@@ -214,8 +214,9 @@ def _ladder_pairs(ladder) -> list[tuple[float, float]]:
                 f"truncated row at epsilon={eps}: filter unclean rows "
                 f"before fitting, they bias the slope low"
             )
-        if l_hat <= 0:
-            raise ValidationError(f"nonpositive length {l_hat} at epsilon={eps}")
+        if not (0 < eps < math.inf and 0 < l_hat < math.inf):
+            raise ValidationError(f"need a finite positive epsilon and length, got "
+                                  f"l_hat={l_hat} at epsilon={eps}")
         pairs.append((float(eps), float(l_hat)))
     return pairs
 
@@ -253,8 +254,8 @@ def theoretical_bounds(m: int, n: int, nu: float, d: float) -> BoundBracket:
     """
     if m < 1 or n < 1:
         raise ValidationError(f"need m >= 1 and n >= 1, got m={m}, n={n}")
-    if nu < 0:
-        raise ValidationError(f"order nu must be nonnegative, got {nu}")
+    if not 0 <= nu < math.inf:
+        raise ValidationError(f"order nu must be finite and nonnegative, got {nu}")
     if not 0 <= d <= m + n:
         raise ValidationError(f"ambient dimension d={d} outside [0, {m + n}]")
     hypothesis = nu * (m - 1)

@@ -138,8 +138,16 @@ class WindowPolicy:
     seed_factor: float = 50.0
     budget: int = 100_000_000
 
+    def __post_init__(self):
+        if not 0 <= self.seed_factor < math.inf:
+            raise ValidationError(
+                f"seed_factor must be finite and nonnegative, got {self.seed_factor}")
+
     def seed(self, epsilon: float, m: int) -> int:
-        return max(self.seed_min, math.ceil(self.seed_factor * (1.0 / epsilon) ** m))
+        try:
+            return max(self.seed_min, math.ceil(self.seed_factor * (1.0 / epsilon) ** m))
+        except OverflowError:  # a seed past every budget, which the ladder cuts to its budget
+            return max(self.seed_min, self.budget)
 
 
 @dataclass(frozen=True)
@@ -310,6 +318,8 @@ def almost_period_quality(seq: ConvergentSequence, k0: int, sample_targets,
                           nu: float = 0.0) -> QualityRecord:
     if not 1 <= k0 <= len(seq.denominators):
         raise ValidationError(f"k0={k0} out of range 1..{len(seq.denominators)}")
+    if not math.isfinite(nu):
+        raise ValidationError(f"nu must be a finite number, got {nu}")
     m = len(seq.frequency)
     eta = (1.0 - nu * (m - 1)) / m
     if eta <= 0:

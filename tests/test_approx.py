@@ -14,6 +14,7 @@ from kronlab import (
     PrecisionBudgetError,
     PrecisionReal,
     RationalFrequencyError,
+    ValidationError,
     continued_fraction,
     convergent_sequence,
     dirichlet_search,
@@ -223,6 +224,11 @@ class TestConvergentSequence:
             convergent_sequence(golden_freq, 1.0, 5)
         with pytest.raises(ValueError):
             convergent_sequence(golden_freq, 2.0, 0)
+
+    @pytest.mark.parametrize("beta", [math.inf, math.nan])
+    def test_non_finite_beta_rejected(self, golden_freq, beta):
+        with pytest.raises(ValidationError):
+            convergent_sequence(golden_freq, beta, 5)
 
     def test_rational_frequency_rejected(self):
         f = FrequencyTuple.parse("1/3")

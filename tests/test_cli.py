@@ -1,5 +1,6 @@
 """End-to-end runs of the command surface: files, exit codes, replay."""
 import csv
+import hashlib
 import json
 from pathlib import Path
 
@@ -116,6 +117,16 @@ class TestDimension:
 
     def test_needs_inputs(self, tmp_path):
         assert run("dimension", "--out", tmp_path).exit_code == 2
+
+    @pytest.mark.parametrize("bad_row", ["0.05,nan,0", "inf,10,0"])
+    def test_non_finite_ladder_row_exit(self, tmp_path, bad_row):
+        # nan passes a sign check and would reach the fit; inf breaks polyfit
+        src = tmp_path / "ladder.csv"
+        src.write_text("epsilon,l_hat,truncated\n0.1,10,0\n"
+                       f"{bad_row}\n0.025,40,0\n0.0125,80,0\n")
+        r = run("dimension", "--from-csv", src, "--out", tmp_path / "fit")
+        assert r.exit_code == 2, r.output
+        assert not (tmp_path / "fit").exists()
 
 
 class TestOrbit:
@@ -244,3 +255,158 @@ class TestInternalFaults:
         assert isinstance(r.exception, ValueError)
         assert not isinstance(r.exception, ValidationError)
         assert not (tmp_path / "manifest.json").exists()
+
+    def test_non_finite_json_value_exits_1_without_manifest(self, tmp_path, monkeypatch):
+        def leaky(**options):
+            return 0, {"bounds.json": {"upper": float("nan")}}, ""
+        monkeypatch.setitem(cli._RUNNERS, "bounds", leaky)
+        r = run("bounds", "--m", 2, "--out", tmp_path)
+        assert r.exit_code == 1
+        assert isinstance(r.exception, ValueError)
+        assert not (tmp_path / "manifest.json").exists()
+
+
+class TestWriteOnlyWithManifest:
+    """A file appears in --out only with its manifest: on exit 0 or 4."""
+
+    def test_fit_exit_leaves_no_ladder_files(self, tmp_path):
+        out = tmp_path / "out"
+        r = run("dimension", "--freq", "golden-1", "--eps", "0.1,0.05,0.025", "--out", out)
+        assert r.exit_code == 5
+        assert not out.exists()
+
+    def test_budget_exit_writes_a_replayable_manifest(self, tmp_path):
+        out = tmp_path / "out"
+        r = run("scan", "--freq", "golden-1", "--eps", "0.1,0.01",
+                "--seed-min", 50, "--budget", 50, "--out", out)
+        assert r.exit_code == 4
+        before = snapshot(out)
+        assert set(before) == {"ladder.csv", "solutions.csv", "manifest.json"}
+        (tmp_path / "manifest.json").write_bytes(before["manifest.json"])
+        for name in before:
+            (out / name).unlink()
+        r = run("--manifest", tmp_path / "manifest.json")
+        assert r.exit_code == 4
+        assert snapshot(out) == before
+
+    @pytest.mark.parametrize("args", [
+        ["scan", "--freq", "nope(1)", "--eps", "0.1"],
+        ["convergents", "--freq", "golden-1", "--precision", 64, "--k", 40],
+        ["bounds", "--m", 0],
+    ], ids=["exit-2", "exit-3", "bounds-exit-2"])
+    def test_refused_command_creates_no_out(self, tmp_path, args):
+        r = run(*args, "--out", tmp_path / "out")
+        assert r.exit_code in (2, 3)
+        assert not (tmp_path / "out").exists()
+
+
+# float options of every command, each given values a float type accepts
+# but the library should refuse or handle; small sizes keep each run short
+SWEEP_BASE = {
+    "convergents": ["convergents", "--freq", "golden-1", "--k", 4],
+    "scan": ["scan", "--freq", "golden-1", "--eps", "0.1", "--seed-min", 100,
+             "--budget", 1000],
+    "dimension": ["dimension", "--freq", "golden-1", "--eps", "0.1,0.05,0.025,0.0125",
+                  "--seed-min", 1000, "--budget", 4000],
+    "orbit": ["orbit", "--matrix", "1;sqrt(2)", "--lattice", "real", "--count", 64,
+              "--scales", "0.25,0.125,0.0625,0.03125"],
+    "bounds": ["bounds", "--m", 2],
+    "almost-period": ["almost-period", "--freq", "golden-1", "--k", 12, "--k0", 3,
+                      "--targets", "97"],
+}
+SWEEP_OPTIONS = [("convergents", "--beta"), ("scan", "--seed-factor"),
+                 ("dimension", "--nu"), ("dimension", "--d"), ("dimension", "--seed-factor"),
+                 ("orbit", "--step"), ("bounds", "--nu"), ("bounds", "--d"),
+                 ("bounds", "--alpha"), ("almost-period", "--beta"), ("almost-period", "--nu")]
+
+
+def _refuse_constant(name):
+    raise ValueError(f"{name} in JSON output")
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0", "-1", "1e308"])
+@pytest.mark.parametrize("command, option", SWEEP_OPTIONS,
+                         ids=[f"{c}{o}" for c, o in SWEEP_OPTIONS])
+def test_float_option_sweep(tmp_path, command, option, value):
+    r = run(*SWEEP_BASE[command], option, value, "--out", tmp_path / "out")
+    assert r.exit_code != 1, (r.output, r.exception)
+    for path in (tmp_path / "out").glob("*.json"):
+        json.loads(path.read_text(), parse_constant=_refuse_constant)
+
+
+# SHA-256 of every file and of stdout, taken from the CLI before its output
+# writer was rewritten. The replay tests compare a revision with itself, so
+# only these catch a change to every file alike. estimate.json and
+# diagnostics.json hold np.polyfit results, whose last bits depend on the
+# LAPACK build, so only their presence is pinned (None). The manifests name
+# the package version and change with it.
+PINNED = [
+    ("convergents --freq golden-1 --k 20", {
+        "diagnostics.json": None,
+        "manifest.json": "6771dfdb0d2da35a40fade8690740e082c61bcbd20e13570a7a7d125bf8ca546",
+        "sequence.csv": "61df8d936011147e0cb21db7b98835957ce11bd861024f490d6501c56d3f6728",
+        "stdout": "1059d2a3620fe039e7e4d9bd1e49ed2af3b259c0c3bfa850d43a0e99c8e7b1fb",
+    }),
+    ("convergents --freq golden-1 --k 20 --format json", {
+        "diagnostics.json": None,
+        "manifest.json": "456b6fbed7712e771eb3a7169b280ba6599bb2060940cc76efaade1325a1b78a",
+        "sequence.json": "18a71c0f8708d85b801d23be8c33c7ddef43e488b6c0bd0b330c65f4f04b5bda",
+        "stdout": "1059d2a3620fe039e7e4d9bd1e49ed2af3b259c0c3bfa850d43a0e99c8e7b1fb",
+    }),
+    ("scan --freq sqrt(2)-1,sqrt(3)-1 --eps 0.1,0.05 --theta 0,0", {
+        "ladder.csv": "dc220aa4a50d846db1bc98a1ddd69e28ae5f7a9f8a264c1e75522077ed310681",
+        "manifest.json": "52fd13a84d4379815854bafa12ee35e9632b835318af682c4a5e74682539ad84",
+        "solutions.csv": "3c2023988c1b6d7da13e641a76de559f2add3367fb32bc0b41e2ee26ff5a4899",
+        "stdout": "f03d5fb4be319f4af14fbc57b0605fc575f4d337ec8caf2685415f73f8182050",
+    }),
+    ("scan --freq sqrt(2)-1,sqrt(3)-1 --eps 0.1,0.05 --theta 0,0 --format json", {
+        "ladder.csv": "dc220aa4a50d846db1bc98a1ddd69e28ae5f7a9f8a264c1e75522077ed310681",
+        "ladder.json": "998547f59b112d631cccb5a34104d7539bff10924f20db4e82af0d2398346a6c",
+        "manifest.json": "21732792737ec21188ed4b30f8d9e00aac0f1f29f3942ee320cab439ca1f0adb",
+        "solutions.csv": "3c2023988c1b6d7da13e641a76de559f2add3367fb32bc0b41e2ee26ff5a4899",
+        "stdout": "f03d5fb4be319f4af14fbc57b0605fc575f4d337ec8caf2685415f73f8182050",
+    }),
+    ("dimension --freq golden-1 --eps 0.1,0.05,0.025,0.0125,0.00625,0.003125", {
+        "estimate.json": None,
+        "ladder.csv": "40e43a282ec2c35e90e8b5bcda35d51d54adaf0123314aa2776786f6ac487ef5",
+        "manifest.json": "9d4360b6d199fe6b1a7c709aa6dbcb3f107589f7f639cd0f08de8bc566849cc6",
+        "solutions.csv": "b21fe9ffab75f8a7122bb5454d9592109c92488d895817b23f1b6ce8b1281c40",
+        "stdout": "abc833c45fb81b4b94b911b52b832e0d4574db5ef0753630f344f22d3eee2fcb",
+    }),
+    ("orbit --matrix 1,0;0,sqrt(2) --count 10000", {
+        "boxcounts.csv": "4b6691dbdbe22b0e8579abd1c5e4fcfc7cb64b7ae26c841b15cca27fae843384",
+        "estimate.json": None,
+        "manifest.json": "56cf6776f66cf7eaadae78a0bbcd0bde45d45e07037a0481681da3b63781a9eb",
+        "points.csv": "63c5873b359840eb4ebd27ad9723f1d56c27e3083b4d232a44060bb44ff7743f",
+        "stdout": "217a4e497c6d9585ae9f606ee9bb9a56b3ead9891e9c2b14f546859f4e6fd3b1",
+    }),
+    ("bounds --m 2", {
+        "bounds.json": "603f5a8c5c513ff7d0c1f834053d1c4511c1febdcf935889db58c5ffb039b9f8",
+        "manifest.json": "1c5d6b5bc3cd19b85bcbbbf483445a7e41b8edefc80fdb8e3f8c13832902bb75",
+        "stdout": "0cf88737ae4a2b215dfef9aa500d89960ee179987f1b7679e97d0164e9744365",
+    }),
+    ("bounds --m 2 --format csv", {
+        "bounds.json": "603f5a8c5c513ff7d0c1f834053d1c4511c1febdcf935889db58c5ffb039b9f8",
+        "manifest.json": "058557f445f145b2644e2efa2b5bdd4d1c0d188e3aad1a847b17e47aa546a3d8",
+        "stdout": "0cf88737ae4a2b215dfef9aa500d89960ee179987f1b7679e97d0164e9744365",
+    }),
+    ("almost-period --freq golden-1 --k 20 --k0 3 --targets 97,500,1000", {
+        "manifest.json": "3864d8c1fbaefde8249f58a948d200eb8a1fe8ca47a90b816901113a9f9dc107",
+        "periods.csv": "cdac12162a57744164c905554ef9fa25c1840fc4b308284c87c3e9f96c1a7690",
+        "quality.json": "6be5074236c65e9e6c5b9a38af539fa5468a98578bc6d5be5dddaeaef2a2c83e",
+        "stdout": "3a13492c5a9edcd012c44ffb44d8ad7c158d1a23ed5d3301b35f5890b37034ea",
+    }),
+]
+
+
+@pytest.mark.parametrize("argv, digests", PINNED, ids=[a for a, _ in PINNED])
+def test_output_bytes_are_pinned(tmp_path, monkeypatch, argv, digests):
+    monkeypatch.chdir(tmp_path)  # the manifest records --out as given
+    r = run(*argv.split(), "--out", "out")
+    assert r.exit_code == 0, r.output
+    got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+           for p in (tmp_path / "out").iterdir()}
+    got["stdout"] = hashlib.sha256(r.output.encode()).hexdigest()
+    assert set(got) == set(digests)
+    pinned = {k: v for k, v in digests.items() if v is not None}
+    assert {k: got[k] for k in pinned} == pinned

@@ -10,6 +10,7 @@ from kronlab import (
     BoxCountCurve,
     InsufficientDataError,
     TorusPoint,
+    ValidationError,
     box_count,
     box_dimension_fit,
     diophantine_dimension_fit,
@@ -210,6 +211,19 @@ class TestDiophantineDimensionFit:
         with pytest.raises(ValueError):
             diophantine_dimension_fit(rows)
 
+    @pytest.mark.parametrize("rows", [
+        [(0.1, 10), (0.05, math.nan), (0.025, 40), (0.0125, 80)],
+        [(0.1, 10), (0.05, math.inf), (0.025, 40), (0.0125, 80)],
+        [(math.inf, 5), (0.1, 10), (0.05, 20), (0.025, 40)],
+        [(0.1, 10), (math.nan, 20), (0.025, 40), (0.0125, 80)],
+        [(0.1, 10), (0.05, 20), (0.025, 40), (-0.0125, 80)],
+    ], ids=["nan-length", "inf-length", "inf-eps", "nan-eps", "negative-eps"])
+    def test_non_finite_or_nonpositive_row_rejected(self, rows):
+        # each ladder still decreases; nan <= 0 is false, so a sign check alone
+        # lets nan through to the fit
+        with pytest.raises(ValidationError):
+            diophantine_dimension_fit(rows)
+
     def test_needs_four_rows(self):
         with pytest.raises(InsufficientDataError):
             diophantine_dimension_fit([(0.1, 10), (0.05, 20), (0.025, 40)])
@@ -247,6 +261,11 @@ class TestTheoreticalBounds:
             theoretical_bounds(1, 1, -0.5, 2.0)
         with pytest.raises(ValueError):
             theoretical_bounds(1, 1, 0.0, 2.5)
+
+    @pytest.mark.parametrize("nu", [math.nan, math.inf, -math.inf])
+    def test_non_finite_nu_rejected(self, nu):
+        with pytest.raises(ValidationError):
+            theoretical_bounds(2, 1, nu, 3.0)
 
     def test_lower_scales_with_ambient(self):
         assert theoretical_bounds(2, 2, 0.0, 4.0).lower == 1.0

@@ -1,4 +1,5 @@
 """Gap scans, inclusion ladders, greedy periods, and matrix systems."""
+import math
 import random
 from fractions import Fraction
 
@@ -17,6 +18,7 @@ from kronlab import (
     PrecisionBudgetError,
     PrecisionReal,
     TorusPoint,
+    ValidationError,
     WindowPolicy,
     WindowTooNarrowError,
     almost_period_quality,
@@ -213,6 +215,15 @@ class TestWindowPolicy:
         assert p.seed(0.01, 2) == 500_000
         assert p.seed(0.5, 1) == 10_000
 
+    @pytest.mark.parametrize("factor", [math.nan, math.inf, -math.inf, -1.0])
+    def test_non_finite_or_negative_factor_rejected(self, factor):
+        with pytest.raises(ValidationError):
+            WindowPolicy(seed_factor=factor)
+
+    def test_overflowing_seed_is_the_budget(self):
+        assert WindowPolicy(seed_factor=1e308, budget=1000).seed(0.1, 1) == 10_000
+        assert WindowPolicy(seed_min=10, budget=1000).seed(1e-200, 2) == 1000
+
 
 class TestInclusionLadder:
     def test_golden_ladder_values(self, golden_freq):
@@ -338,6 +349,11 @@ class TestAlmostPeriodQuality:
         seq = convergent_sequence(pair_freq, 4.0, 6)
         with pytest.raises(ValueError):
             almost_period_quality(seq, 1, [100], nu=1.1)
+
+    @pytest.mark.parametrize("nu", [math.nan, math.inf, -math.inf])
+    def test_non_finite_nu_rejected(self, golden_seq20, nu):
+        with pytest.raises(ValidationError):
+            almost_period_quality(golden_seq20, 3, [97], nu=nu)
 
     def test_k0_guard(self, golden_seq20):
         with pytest.raises(ValueError):
