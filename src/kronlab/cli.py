@@ -211,6 +211,14 @@ def _run_dimension(freq: str | None, theta: str | None, eps: str | None,
                    from_csv: str | None, m: int, n: int, nu: float,
                    d: float | None, precision: int, out: str, fmt: str,
                    seed_min: int, seed_factor: float, budget: int):
+    if from_csv is None:
+        if freq is None or eps is None:
+            raise ValidationError("need --freq and --eps (or --from-csv)")
+        frequency = _parse_frequency(freq, precision)
+        m = len(frequency)
+    # the bracket is checked before the scan, so a bad --nu or --d exits at once
+    ambient = (m + n) if d is None else d
+    bracket = {"m": m, "n": n, "nu": nu, "d": ambient, **_bound_bracket(m, n, nu, ambient)}
     files = {}
     if from_csv is not None:
         try:
@@ -220,17 +228,12 @@ def _run_dimension(freq: str | None, theta: str | None, eps: str | None,
                          for rec in csv.DictReader(f)]
         except (OSError, KeyError, ValueError) as exc:
             raise ValidationError(f"cannot read ladder rows from {from_csv}: {exc!r}") from exc
-        dims = m
     else:
-        if freq is None or eps is None:
-            raise ValidationError("need --freq and --eps (or --from-csv)")
-        frequency = _parse_frequency(freq, precision)
-        target = _parse_target(theta, precision, len(frequency))
+        target = _parse_target(theta, precision, m)
         policy = WindowPolicy(seed_min=seed_min, seed_factor=seed_factor, budget=budget)
         rows = inclusion_length_ladder(frequency, target, _parse_floats(eps), policy)
         files = _ladder_files(rows)
         pairs = [(r.epsilon, r.l_hat, r.truncated) for r in rows]
-        dims = len(frequency)
 
     clean = [(e, l) for e, l, trunc in pairs if not trunc]
     dropped = len(pairs) - len(clean)
@@ -240,9 +243,6 @@ def _run_dimension(freq: str | None, theta: str | None, eps: str | None,
         )
     est = diophantine_dimension_fit(clean)
 
-    ambient = (dims + n) if d is None else d
-    bracket = {"m": dims, "n": n, "nu": nu, "d": ambient,
-               **_bound_bracket(dims, n, nu, ambient)}
     tol = 0.3
     within = bracket["lower"] - tol <= est.slope and (
         bracket["upper"] is None or est.slope <= bracket["upper"] + tol)

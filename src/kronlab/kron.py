@@ -37,6 +37,7 @@ from .torus import (
     TorusPoint,
     frac_mult,
     frac_to_unit_float,
+    precision_budget,
     torus_norm,
 )
 
@@ -377,22 +378,10 @@ class FrequencyMatrix:
         n = len(rows[0])
         if any(len(r) != n for r in rows):
             raise ValidationError("ragged matrix rows")
-        bits = rows[0][0].bits
-        for r in rows:
-            for c in r:
-                if c.bits != bits:
-                    raise ValidationError("all entries must share the same precision")
-        if q_max is None:
-            q_max = 1 << (bits - 32)
-        if q_max > (1 << (bits - 32)):
-            raise PrecisionBudgetError(
-                f"q_max={q_max} needs more than bits={bits} of precision"
-            )
         self.rows = rows
         self.m = len(rows)
         self.n = n
-        self.bits = bits
-        self.q_max = q_max
+        self.bits, self.q_max = precision_budget([c for r in rows for c in r], q_max)
 
     @classmethod
     def parse(cls, text: str, bits: int = DEFAULT_BITS,

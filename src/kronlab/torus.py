@@ -14,7 +14,10 @@ and the answer would be noise. Asking for more raises instead of guessing.
 """
 from __future__ import annotations
 
+import ast
+import operator
 import re
+import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -25,11 +28,14 @@ from .errors import DescriptorError, PrecisionBudgetError, ValidationError
 
 DEFAULT_BITS = 192
 
-_TOKEN = re.compile(
-    r"\s*(?:(?P<num>\d+(?:\.\d*)?(?:[eE][+-]?\d+)?)"
-    r"|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
-    r"|(?P<op>[-+*/()]))"
-)
+# once its whitespace is collapsed to single spaces, a descriptor holds only
+# these characters: no ',', '#', quotes or non-ASCII digits
+_ALLOWED = re.compile(r"[A-Za-z0-9_ .+\-*/()]*")
+_NUMBER = re.compile(r"\d+(?:\.\d*)?(?:[eE][+-]?\d+)?")
+# every value met while evaluating has mpmath.mag at most _MAX_MAG, so it is
+# at most 2**32 and, at bits + 64 of working precision, rounds 32 bits below
+# the stored unit 2**-bits
+_MAX_MAG = 32
 
 _CONSTANTS = {
     "pi": lambda: mpmath.pi,
@@ -46,117 +52,38 @@ _FUNCTIONS = {
     "zeta": mpmath.zeta,
 }
 
-
-def _tokenize(text: str) -> list[tuple[str, str]]:
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if not m or m.end() == pos:
-            tail = text[pos:].strip()
-            if not tail:
-                break
-            raise DescriptorError(f"cannot read descriptor at: {tail!r}")
-        pos = m.end()
-        for kind in ("num", "name", "op"):
-            val = m.group(kind)
-            if val is not None:
-                tokens.append((kind, val))
-                break
-    return tokens
+_BINOPS = {ast.Add: operator.add, ast.Sub: operator.sub,
+           ast.Mult: operator.mul, ast.Div: operator.truediv}
 
 
-class _Parser:
-    """Recursive descent over +, -, *, /, unary minus, calls, parens."""
-
-    def __init__(self, text: str):
-        self.tokens = _tokenize(text)
-        self.i = 0
-
-    def peek(self):
-        return self.tokens[self.i] if self.i < len(self.tokens) else (None, None)
-
-    def take(self):
-        tok = self.peek()
-        self.i += 1
-        return tok
-
-    def expect_op(self, op: str):
-        kind, val = self.take()
-        if kind != "op" or val != op:
-            raise DescriptorError(f"expected {op!r}, found {val!r}")
-
-    def parse(self):
-        v = self.expr()
-        if self.i != len(self.tokens):
-            raise DescriptorError(f"trailing input: {self.tokens[self.i][1]!r}")
-        return v
-
-    def expr(self):
-        v = self.term()
-        while True:
-            kind, val = self.peek()
-            if kind == "op" and val in "+-":
-                self.take()
-                rhs = self.term()
-                v = v + rhs if val == "+" else v - rhs
-            else:
-                return v
-
-    def term(self):
-        v = self.unary()
-        while True:
-            kind, val = self.peek()
-            if kind == "op" and val in "*/":
-                self.take()
-                rhs = self.unary()
-                if val == "/":
-                    if rhs == 0:
-                        raise DescriptorError("division by zero in descriptor")
-                    v = v / rhs
-                else:
-                    v = v * rhs
-            else:
-                return v
-
-    def unary(self):
-        kind, val = self.peek()
-        if kind == "op" and val == "-":
-            self.take()
-            return -self.unary()
-        if kind == "op" and val == "+":
-            self.take()
-            return self.unary()
-        return self.atom()
-
-    def atom(self):
-        kind, val = self.take()
-        if kind == "num":
-            return mpmath.mpf(val)
-        if kind == "name":
-            nk, nv = self.peek()
-            if nk == "op" and nv == "(":
-                fn = _FUNCTIONS.get(val)
-                if fn is None:
-                    raise DescriptorError(f"unknown function {val!r}")
-                self.take()
-                arg = self.expr()
-                self.expect_op(")")
-                return fn(arg)
-            ctor = _CONSTANTS.get(val)
-            if ctor is None:
-                raise DescriptorError(f"unknown name {val!r}")
-            return +ctor()
-        if kind == "op" and val == "(":
-            v = self.expr()
-            self.expect_op(")")
-            return v
-        raise DescriptorError(f"unexpected token {val!r}" if val else "empty descriptor")
+def _evaluate(node, text: str):
+    """The value of one node of a parsed descriptor; any node outside the
+    grammar, a complex value or a magnitude above 2**32 is refused."""
+    src = text[node.col_offset:node.end_col_offset]
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.UAdd, ast.USub)):
+        value = _evaluate(node.operand, text)
+        return -value if isinstance(node.op, ast.USub) else value
+    if isinstance(node, ast.Name) and node.id in _CONSTANTS:
+        return +_CONSTANTS[node.id]()
+    if isinstance(node, ast.BinOp) and type(node.op) in _BINOPS:
+        value = _BINOPS[type(node.op)](_evaluate(node.left, text), _evaluate(node.right, text))
+    elif isinstance(node, ast.Constant) and _NUMBER.fullmatch(src):
+        value = mpmath.mpf(src)
+    # the name must be followed by its '(': the tree drops the parentheses of "(sqrt)(2)"
+    elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+          and node.func.id in _FUNCTIONS and len(node.args) == 1 and not node.keywords
+          and text.startswith(("(", " ("), node.func.end_col_offset)):
+        value = _FUNCTIONS[node.func.id](_evaluate(node.args[0], text))
+        if not isinstance(value, mpmath.mpf):
+            raise DescriptorError(f"{src!r} is not real")
+    else:
+        raise DescriptorError(f"not in the descriptor grammar: {src!r}")
+    if not mpmath.mag(value) <= _MAX_MAG:  # inf and nan fail too
+        raise DescriptorError(f"{src!r} is not a finite real below 2**{_MAX_MAG} in magnitude")
+    return value
 
 
 def _mpf_to_fraction(x) -> Fraction:
-    if not mpmath.isfinite(x):
-        raise DescriptorError("descriptor does not evaluate to a finite real")
     sign, man, exp, _ = mpmath.mpf(x)._mpf_
     # the gmpy2 backend hands back mpz mantissas; keep everything Python int
     man, exp = int(man), int(exp)
@@ -166,16 +93,26 @@ def _mpf_to_fraction(x) -> Fraction:
 
 def evaluate_descriptor(text: str, bits: int) -> Fraction:
     """Evaluate a descriptor to an exact Fraction, carrying 64 guard bits."""
-    if not text or not text.strip():
+    # any run of whitespace, newlines included, separates tokens like one space
+    text = " ".join((text or "").split())
+    if not text:
         raise DescriptorError("empty descriptor")
+    if not _ALLOWED.fullmatch(text):
+        raise DescriptorError(f"descriptor holds a character outside [A-Za-z0-9_.+-*/() ]: {text!r}")
     with mpmath.workprec(bits + 64):
         try:
-            value = _Parser(text).parse()
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # "1or 2" warns, then is refused anyway
+                tree = ast.parse(text, mode="eval")
+            return _mpf_to_fraction(_evaluate(tree.body, text))
         except DescriptorError:
             raise
-        except (mpmath.libmp.NoConvergence, ValueError, TypeError, ZeroDivisionError) as e:
+        except (SyntaxError, RecursionError) as e:
+            raise DescriptorError(f"cannot read descriptor: {getattr(e, 'msg', e)}") from e
+        except ZeroDivisionError as e:
+            raise DescriptorError("division by zero in descriptor") from e
+        except (mpmath.libmp.NoConvergence, ValueError) as e:
             raise DescriptorError(f"descriptor failed to evaluate: {e}") from e
-        return _mpf_to_fraction(value)
 
 
 @dataclass(frozen=True)
@@ -226,6 +163,27 @@ class PrecisionReal:
         return f"PrecisionReal({self.descriptor!r}, bits={self.bits})"
 
 
+def precision_budget(reals, q_max: int | None) -> tuple[int, int]:
+    """The (bits, q_max) budget shared by the reals of a tuple or a matrix.
+
+    All reals carry one bits; q_max defaults to 2**(bits - 32), must be
+    positive, and may not exceed that default.
+    """
+    bits = reals[0].bits
+    if any(r.bits != bits for r in reals):
+        raise ValidationError("all components must share the same precision")
+    if q_max is None:
+        q_max = 1 << (bits - 32)
+    if q_max < 1:
+        raise ValidationError(f"q_max must be positive, got {q_max}")
+    if q_max > (1 << (bits - 32)):
+        raise PrecisionBudgetError(
+            f"q_max={q_max} needs more than bits={bits} of precision; "
+            f"refuse to report residuals below the noise floor"
+        )
+    return bits, q_max
+
+
 class FrequencyTuple:
     """An m-tuple of frozen frequencies sharing one precision budget.
 
@@ -240,21 +198,8 @@ class FrequencyTuple:
         components = tuple(components)
         if not components:
             raise ValidationError("frequency tuple needs at least one component")
-        bits = components[0].bits
-        if any(c.bits != bits for c in components):
-            raise ValidationError("all components must share the same precision")
-        if q_max is None:
-            q_max = 1 << (bits - 32)
-        if q_max < 1:
-            raise ValidationError(f"q_max must be positive, got {q_max}")
-        if q_max > (1 << (bits - 32)):
-            raise PrecisionBudgetError(
-                f"q_max={q_max} needs more than bits={bits} of precision; "
-                f"refuse to report residuals below the noise floor"
-            )
         self.components = components
-        self.bits = bits
-        self.q_max = q_max
+        self.bits, self.q_max = precision_budget(components, q_max)
 
     @classmethod
     def parse(cls, descriptors, bits: int = DEFAULT_BITS, q_max: int | None = None) -> "FrequencyTuple":

@@ -129,6 +129,50 @@ class TestDimension:
         assert not (tmp_path / "fit").exists()
 
 
+    @pytest.mark.parametrize("option", [["--nu", "nan"], ["--d", "99"]])
+    def test_bad_bracket_exits_before_the_scan(self, tmp_path, monkeypatch, option):
+        def no_scan(*args, **kwargs):
+            raise AssertionError("scanned before the bracket was checked")
+        monkeypatch.setattr(cli, "inclusion_length_ladder", no_scan)
+        r = run("dimension", "--freq", "golden-1", "--eps", "0.1,0.05,0.025,0.0125",
+                *option, "--out", tmp_path / "out")
+        assert r.exit_code == 2, r.output
+
+    def test_bad_bracket_exits_before_reading_rows(self, tmp_path):
+        # three rows are too few to fit, which would exit 5
+        src = tmp_path / "ladder.csv"
+        src.write_text("epsilon,l_hat,truncated\n0.1,10,0\n0.05,20,0\n0.025,40,0\n")
+        r = run("dimension", "--from-csv", src, "--nu", "nan", "--out", tmp_path / "fit")
+        assert r.exit_code == 2, r.output
+
+
+class TestBadDescriptors:
+    """Every descriptor the library refuses exits 2 with an error line."""
+
+    @pytest.mark.parametrize("freq", [
+        "sqrt(-1)", "log(-1)", "cbrt(-8)", "exp(1e30)", "1e30+sqrt(2)",
+        "(" * 300 + "1" + ")" * 300, "-" * 5000 + "1",
+    ], ids=["sqrt(-1)", "log(-1)", "cbrt(-8)", "exp(1e30)", "1e30+sqrt(2)",
+            "300-parens", "5000-minus-signs"])
+    def test_refused_frequency_exits_2(self, tmp_path, freq):
+        r = run("convergents", "--freq", freq, "--out", tmp_path / "out")
+        assert r.exit_code == 2, r.output
+        assert isinstance(r.exception, SystemExit)
+        assert "error:" in r.output
+        assert not (tmp_path / "out").exists()
+
+    def test_refused_target_exits_2(self, tmp_path):
+        r = run("scan", "--freq", "golden-1", "--theta", "cbrt(-8)", "--eps", "0.1",
+                "--out", tmp_path)
+        assert r.exit_code == 2, r.output
+        assert "error:" in r.output
+
+    def test_refused_matrix_entry_exits_2(self, tmp_path):
+        r = run("orbit", "--matrix", "1;log(-1)", "--out", tmp_path)
+        assert r.exit_code == 2, r.output
+        assert "error:" in r.output
+
+
 class TestOrbit:
     def test_integer_diagonal(self, tmp_path):
         r = run("orbit", "--matrix", "1,0;0,sqrt(2)", "--count", 10_000,

@@ -382,6 +382,21 @@ class TestFrequencyMatrix:
         with pytest.raises(PrecisionBudgetError):
             mat.apply([1, mat.q_max + 1])
 
+    @pytest.mark.parametrize("q_max", [0, -5])
+    def test_nonpositive_budget_refused_like_a_tuple(self, q_max):
+        with pytest.raises(ValidationError):
+            FrequencyMatrix.parse("golden-1,sqrt(2)", q_max=q_max)
+        with pytest.raises(ValidationError):
+            FrequencyTuple.parse(["golden-1", "sqrt(2)"], q_max=q_max)
+
+    def test_budget_limits_shared_with_tuples(self):
+        with pytest.raises(PrecisionBudgetError):
+            FrequencyMatrix.parse("golden-1", bits=128, q_max=(1 << 96) + 1)
+        a = PrecisionReal.parse("pi", 128)
+        b = PrecisionReal.parse("e", 192)
+        with pytest.raises(ValidationError):
+            FrequencyMatrix([[a, b]])
+
 
 class TestMatrixScan:
     def test_single_column_matches_gap_scan(self, golden_freq):
