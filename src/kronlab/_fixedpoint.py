@@ -45,6 +45,8 @@ def round_shift(v: int, s: int) -> int:
     """round(v / 2**s) with ties to even, for nonnegative v."""
     if s <= 0:
         return v << -s
+    if s > v.bit_length():  # v < 2**(s-1): below one half, without building 2**s
+        return 0
     q, r = v >> s, v & ((1 << s) - 1)
     half = 1 << (s - 1)
     if r > half or (r == half and (q & 1)):
@@ -121,6 +123,12 @@ def hi64_to_unit_floats(hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 _SLACK = 2  # bound on a reported distance's error, units of 2**-64
 
 
+def _spans(lo: int, hi: int):
+    """Yield (start, n) for each CHUNK-sized piece of [lo, hi]; the first is longest."""
+    for start in range(lo, hi + 1, CHUNK):
+        yield start, min(CHUNK, hi - start + 1)
+
+
 class ResidualKernel:
     """Vectorized sup-norm torus residuals of q*omega - theta.
 
@@ -183,8 +191,8 @@ class ResidualKernel:
 
     def chunks(self, lo: int, hi: int):
         """Yield (start, residual_array) covering q in [lo, hi] inclusive."""
-        for q in range(lo, hi + 1, CHUNK):
-            yield q, self.residuals(q, min(CHUNK, hi - q + 1))
+        for start, n in _spans(lo, hi):
+            yield start, self.residuals(start, n)
 
     def residuals_at(self, qs) -> np.ndarray:
         """uint64 residuals for an array of multipliers in [0, 2**30)."""
@@ -233,10 +241,9 @@ def record_lows(kernel: ResidualKernel, lo: int, hi: int) -> tuple[np.ndarray, n
     best = np.uint64(1 << 63)
     best_exact = kernel.unit
     step0, *rest = kernel.steps
-    idx = np.arange(CHUNK, dtype=np.uint64)
-    start = lo
-    while start <= hi and best_exact:
-        n = min(CHUNK, hi - start + 1)
+    idx = None
+    for start, n in _spans(lo, hi):
+        idx = np.arange(n, dtype=np.uint64) if idx is None else idx
         anchor0, *anchors = kernel._anchors(start)
         d0 = kernel._coord_dists(step0, anchor0, idx[:n])
         pos = np.flatnonzero(d0 < best + 2 * _SLACK)
@@ -254,5 +261,6 @@ def record_lows(kernel: ResidualKernel, lo: int, hi: int) -> tuple[np.ndarray, n
                 qs.append(q)
                 ds.append(int(res[i]))
         best = run[-1]
-        start += n
+        if not best_exact:
+            break
     return np.array(qs, dtype=np.int64), np.array(ds, dtype=np.uint64)

@@ -25,30 +25,13 @@ from fractions import Fraction
 import numpy as np
 
 from . import _fixedpoint as fx
-from .errors import (
-    InsufficientDataError,
-    KronlabError,
-    PrecisionBudgetError,
-    RationalFrequencyError,
-    ValidationError,
-)
-from .torus import FrequencyTuple, PrecisionReal, frac_mult, torus_norm
+from .errors import InsufficientDataError, KronlabError, RationalFrequencyError, ValidationError
+from .torus import FrequencyTuple, PrecisionReal, _check_window, frac_mult, torus_norm
 
 
 def _kernel_for(freq: FrequencyTuple, target=None) -> fx.ResidualKernel:
     offsets = None if target is None else [fx.to_scaled(x, freq.bits) for x in target]
     return fx.ResidualKernel([c.scaled for c in freq.components], offsets, freq.bits)
-
-
-def _window_bound(freq: FrequencyTuple, Q) -> int:
-    n = math.floor(Fraction(Q))
-    if n < 1:
-        raise ValidationError(f"search window Q={Q} contains no positive integer")
-    if n > freq.q_max:
-        raise PrecisionBudgetError(
-            f"window {n} exceeds the declared q_max={freq.q_max}"
-        )
-    return n
 
 
 def dirichlet_search(freq: FrequencyTuple, Q) -> int:
@@ -59,7 +42,9 @@ def dirichlet_search(freq: FrequencyTuple, Q) -> int:
     irrational, since it beats the witness that guarantee promises. One
     frequency is answered by its largest convergent denominator <= Q.
     """
-    return _record_lows(freq, _window_bound(freq, Q))[-1]
+    n = math.floor(Fraction(Q))
+    _check_window(freq.q_max, 1, n, "search window")
+    return _record_lows(freq, n)[-1]
 
 
 def _record_lows(freq: FrequencyTuple, n: int) -> list[int]:
@@ -95,6 +80,17 @@ def _expansion(omega: PrecisionReal):
         yield a, p1, q1
         if abs(scale * q1 - p1 * unit) < q1 * 256:
             return
+
+
+def _nonzero_residuals(freq: FrequencyTuple, qs) -> list[float]:
+    """The residual of each q, on the 2**-53 grid; one that rounds to 0 there
+    means the stored value is rational at this precision, and is refused."""
+    residuals = [torus_norm(frac_mult(freq, q)) for q in qs]
+    if 0.0 in residuals:
+        raise RationalFrequencyError(
+            f"residual vanished at q={qs[residuals.index(0.0)]}; the frequency is "
+            f"rational (or indistinguishable from one at this precision)")
+    return residuals
 
 
 @dataclass(frozen=True)
@@ -183,26 +179,18 @@ def convergent_sequence(freq: FrequencyTuple, beta, K: int) -> ConvergentSequenc
     if K < 1:
         raise ValidationError(f"need K >= 1 levels, got {K}")
     m = len(freq)
-    b = Fraction(beta)
-    checkpoints = [math.floor(b ** k) for k in range(1, K + 1)]
-    top = checkpoints[-1]
-    if top > freq.q_max:
-        raise PrecisionBudgetError(
-            f"beta^K window {top} exceeds the declared q_max={freq.q_max}"
-        )
+    b = power = Fraction(beta)
+    checkpoints = []
+    # grown level by level, so a window past the budget is refused at its level
+    for k in range(1, K + 1):
+        checkpoints.append(math.floor(power))
+        _check_window(freq.q_max, 1, checkpoints[-1], f"beta^{k} window")
+        power *= b
 
     # the earliest argmin on [1, c] is the last record low at or below c
-    qs = _record_lows(freq, top)
+    qs = _record_lows(freq, checkpoints[-1])
     dens = [qs[bisect.bisect_right(qs, c) - 1] for c in checkpoints]
-
-    residuals = [torus_norm(frac_mult(freq, q)) for q in dens]
-    floor_res = 2.0 ** -(freq.bits - 8)
-    if any(r <= floor_res for r in residuals):
-        raise RationalFrequencyError(
-            "a residual vanished to working precision; the frequency is "
-            "rational (or indistinguishable from one at this precision) "
-            "and the ladder certificates degenerate"
-        )
+    residuals = _nonzero_residuals(freq, dens)
 
     c_hat = float(beta) ** (1.0 / m)
     for k in range(len(dens) - 1):
@@ -250,6 +238,9 @@ def verify_sequence_properties(seq: ConvergentSequence, nu: float = 0.0,
     dens = seq.denominators
     if len(dens) < 3:
         raise ValidationError("diagnostics need at least 3 levels")
+    if dens[0] == dens[-2]:
+        raise InsufficientDataError(f"levels 1..{len(dens) - 1} share the denominator "
+                                    f"{dens[0]}; the growth fit needs two distinct ones")
     logs = np.log(np.asarray(dens, dtype=float))
 
     e, _ = np.polyfit(logs[:-1], logs[1:], 1)
@@ -299,22 +290,10 @@ def estimate_diophantine_order(freq: FrequencyTuple, q_max: int) -> DiophantineO
     up to q_max.
     """
     q_max = int(q_max)
-    if q_max < 1:
-        raise ValidationError(f"q_max must be positive, got {q_max}")
-    if q_max > freq.q_max:
-        raise PrecisionBudgetError(
-            f"scan bound {q_max} exceeds the declared q_max={freq.q_max}"
-        )
+    _check_window(freq.q_max, 1, q_max, "scan window")
     m = len(freq)
-    support = []
-    for q in _record_lows(freq, q_max):
-        r = torus_norm(frac_mult(freq, q))
-        if r == 0.0:
-            raise RationalFrequencyError(
-                f"residual vanished at q={q}; the frequency is rational and "
-                f"has no approximation order"
-            )
-        support.append((q, r))
+    qs = _record_lows(freq, q_max)
+    support = list(zip(qs, _nonzero_residuals(freq, qs)))
     if len(support) < 3:
         raise InsufficientDataError(
             f"only {len(support)} envelope points up to q_max={q_max}; "

@@ -15,6 +15,7 @@ finished and always with their manifest, so exits 2, 3 and 5 write nothing.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import inspect
 import json
 import sys
@@ -25,7 +26,8 @@ import click
 
 from . import __version__
 from .approx import convergent_sequence, verify_sequence_properties
-from .dim import box_count, box_dimension_fit, diophantine_dimension_fit, theoretical_bounds, holder_bound
+from .dim import (box_count, box_dimension_fit, diophantine_dimension_fit, holder_bound,
+                  lower_bound, theoretical_bounds)
 from .errors import (
     BoundUndefinedError,
     BudgetExceededError,
@@ -43,7 +45,6 @@ from .kron import (
     orbit_sample,
 )
 from .torus import DEFAULT_BITS, FrequencyTuple, PrecisionReal, TorusPoint
-from ._fixedpoint import frac_to_unit_float
 
 EXIT_VALIDATION = 2
 EXIT_PRECISION = 3
@@ -92,11 +93,7 @@ def _parse_target(text: str | None, bits: int, m: int) -> TorusPoint:
     parts = [d.strip() for d in text.split(",")]
     if len(parts) != m:
         raise ValidationError(f"target has {len(parts)} coordinates, frequency has {m}")
-    coords = []
-    for d in parts:
-        p = PrecisionReal.parse(d, bits)
-        coords.append(frac_to_unit_float(p.frac_scaled, p.bits))
-    return TorusPoint(coords)
+    return TorusPoint.from_values(PrecisionReal.parse(d, bits).as_fraction() for d in parts)
 
 
 def _parse_floats(text: str) -> list[float]:
@@ -191,14 +188,16 @@ def _run_scan(freq: str, theta: str | None, eps: str, precision: int,
     return (EXIT_BUDGET if any(r.truncated for r in rows) else 0), files, "\n".join(lines)
 
 
-def _bound_bracket(m: int, n: int, nu: float, d: float) -> dict:
-    """Lower and upper dimension bounds; an undefined upper is None, with
-    upper_note saying why."""
+def _bound_bracket(m: int, n: int, nu: float, d: float | None) -> tuple[dict, dict]:
+    """The bracket's inputs, d defaulting to m + n, and its lower and upper
+    bounds; an undefined upper is None, with upper_note saying why."""
+    d = (m + n) if d is None else d
+    inputs = {"m": m, "n": n, "nu": nu, "d": d}
     try:
         bb = theoretical_bounds(m, n, nu, d)
     except BoundUndefinedError as exc:
-        return {"lower": (d - n) / n, "upper": None, "upper_note": str(exc)}
-    return {"lower": bb.lower, "upper": bb.upper}
+        return inputs, {"lower": lower_bound(n, d), "upper": None, "upper_note": str(exc)}
+    return inputs, {"lower": bb.lower, "upper": bb.upper}
 
 
 def _estimate_fields(est) -> dict:
@@ -217,8 +216,8 @@ def _run_dimension(freq: str | None, theta: str | None, eps: str | None,
         frequency = _parse_frequency(freq, precision)
         m = len(frequency)
     # the bracket is checked before the scan, so a bad --nu or --d exits at once
-    ambient = (m + n) if d is None else d
-    bracket = {"m": m, "n": n, "nu": nu, "d": ambient, **_bound_bracket(m, n, nu, ambient)}
+    inputs, limits = _bound_bracket(m, n, nu, d)
+    bracket = {**inputs, **limits}
     files = {}
     if from_csv is not None:
         try:
@@ -279,9 +278,8 @@ def _run_orbit(matrix: str, lattice: str, count: int, step: float | None,
 
 def _run_bounds(m: int, n: int, nu: float, d: float | None, alpha: float,
                 out: str, fmt: str):
-    ambient = (m + n) if d is None else d
-    payload = {"inputs": {"m": m, "n": n, "nu": nu, "d": ambient, "alpha": alpha},
-               **_bound_bracket(m, n, nu, ambient)}
+    inputs, limits = _bound_bracket(m, n, nu, d)
+    payload = {"inputs": {**inputs, "alpha": alpha}, **limits}
     upper = payload["upper"]
     if upper is not None:
         payload["holder_upper"] = holder_bound(upper, alpha)
@@ -343,6 +341,10 @@ _common = [
     click.option("--format", "fmt", type=click.Choice(["csv", "json"]),
                  default="csv", show_default=True),
 ]
+
+# --seed-min, --seed-factor and --budget, defaulting to WindowPolicy's own fields
+_policy = [click.option(f"--{f.name.replace('_', '-')}", default=f.default, show_default=True)
+           for f in dataclasses.fields(WindowPolicy)]
 
 
 def _with(options):
@@ -421,9 +423,7 @@ def convergents_cmd(**options):
 @click.option("--freq", required=True, help="comma-separated descriptors")
 @click.option("--theta", default=None, help="target point (default 0)")
 @click.option("--eps", required=True, help="comma-separated epsilon ladder")
-@click.option("--seed-min", default=10_000, show_default=True)
-@click.option("--seed-factor", default=50.0, show_default=True)
-@click.option("--budget", default=100_000_000, show_default=True)
+@_with(_policy)
 @_with(_common)
 def scan_cmd(**options):
     """Enumerate solutions per epsilon and measure inclusion lengths."""
@@ -442,9 +442,7 @@ def scan_cmd(**options):
 @click.option("--nu", default=0.0, show_default=True)
 @click.option("--d", default=None, type=float,
               help="ambient dimension for the bracket (default m+n)")
-@click.option("--seed-min", default=10_000, show_default=True)
-@click.option("--seed-factor", default=50.0, show_default=True)
-@click.option("--budget", default=100_000_000, show_default=True)
+@_with(_policy)
 @_with(_common)
 def dimension_cmd(**options):
     """Fit the inclusion-length slope and compare to the bound bracket."""

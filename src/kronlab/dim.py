@@ -245,8 +245,13 @@ class BoundBracket:
     inputs: tuple[float, ...]
 
 
+def lower_bound(n: int, d: float) -> float:
+    """The bracket's lower end, (d - n) / n; it holds for every nu."""
+    return (d - n) / n
+
+
 def theoretical_bounds(m: int, n: int, nu: float, d: float) -> BoundBracket:
-    """Evaluate the bracket lower=(d-n)/n, upper=(1+nu)m/(1-nu(m-1)).
+    """Evaluate the bracket lower=lower_bound(n, d), upper=(1+nu)m/(1-nu(m-1)).
 
     The upper formula exists only under nu*(m-1) < 1; outside that the
     request is refused rather than returning a negative or infinite
@@ -263,9 +268,8 @@ def theoretical_bounds(m: int, n: int, nu: float, d: float) -> BoundBracket:
         raise BoundUndefinedError(
             f"upper bound undefined: needs nu*(m-1) < 1, got {hypothesis}"
         )
-    lower = (d - n) / n
     upper = (1.0 + nu) * m / (1.0 - hypothesis)
-    return BoundBracket(lower=lower, upper=upper, inputs=(m, n, nu, d))
+    return BoundBracket(lower=lower_bound(n, d), upper=upper, inputs=(m, n, nu, d))
 
 
 def holder_bound(di_base: float, alpha: float) -> float:

@@ -24,22 +24,24 @@ import numpy as np
 
 from . import _fixedpoint as fx
 from .approx import ConvergentSequence, _kernel_for
-from .errors import (
-    BudgetExceededError,
-    PrecisionBudgetError,
-    ValidationError,
-    WindowTooNarrowError,
-)
+from .errors import BudgetExceededError, ValidationError, WindowTooNarrowError
 from .torus import (
     DEFAULT_BITS,
     FrequencyTuple,
     PrecisionReal,
     TorusPoint,
+    _check_window,
     frac_mult,
     frac_to_unit_float,
     precision_budget,
     torus_norm,
 )
+
+
+def _check_epsilon(epsilon: float):
+    if not (0.0 < epsilon <= 0.5):
+        raise ValidationError(f"epsilon={epsilon} outside (0, 1/2]; at 1/2 every integer "
+                              f"already solves, beyond it nothing is asked")
 
 
 @dataclass(frozen=True)
@@ -51,11 +53,7 @@ class KroneckerInstance:
     epsilon: float
 
     def __post_init__(self):
-        if not (0.0 < self.epsilon <= 0.5):
-            raise ValidationError(
-                f"epsilon={self.epsilon} outside (0, 1/2]; at 1/2 every "
-                f"integer already solves, beyond it nothing is asked"
-            )
+        _check_epsilon(self.epsilon)
         if len(self.target) != len(self.frequency):
             raise ValidationError(
                 f"target dimension {len(self.target)} != frequency "
@@ -67,19 +65,10 @@ class KroneckerInstance:
         return cls(freq, TorusPoint([0.0] * len(freq)), epsilon)
 
 
-def _guard_window(freq: FrequencyTuple, a: int, b: int):
-    if a > b:
-        raise ValidationError(f"empty window [{a}, {b}]")
-    if max(abs(a), abs(b)) > freq.q_max:
-        raise PrecisionBudgetError(
-            f"window [{a}, {b}] exceeds the declared q_max={freq.q_max}"
-        )
-
-
 def solve_in_interval(inst: KroneckerInstance, a: int, b: int) -> int | None:
     """Smallest integer q in [a, b] solving the instance, or None."""
     a, b = int(a), int(b)
-    _guard_window(inst.frequency, a, b)
+    _check_window(inst.frequency.q_max, a, b)
     kernel = _kernel_for(inst.frequency, inst.target)
     return fx.first_solution(kernel, a, b, fx.eps_to_u64(inst.epsilon))
 
@@ -104,7 +93,7 @@ class GapScan:
 
 def gap_scan(inst: KroneckerInstance, a: int, b: int) -> GapScan:
     a, b = int(a), int(b)
-    _guard_window(inst.frequency, a, b)
+    _check_window(inst.frequency.q_max, a, b)
     kernel = _kernel_for(inst.frequency, inst.target)
     sols = fx.solutions_in(kernel, a, b, fx.eps_to_u64(inst.epsilon))
     if len(sols) < 2:
@@ -170,21 +159,18 @@ def inclusion_length_ladder(freq: FrequencyTuple, target: TorusPoint,
     """
     if policy is None:
         policy = WindowPolicy()
-    eps_list = [float(e) for e in epsilons]
-    if not eps_list:
+    # every instance is built, so every epsilon checked, before any scan
+    instances = [KroneckerInstance(freq, target, float(e)) for e in epsilons]
+    if not instances:
         raise ValidationError("empty epsilon ladder")
-    for e in eps_list:
-        if not (0.0 < e <= 0.5):
-            raise ValidationError(f"epsilon={e} outside (0, 1/2]")
-    if any(b >= a for a, b in zip(eps_list, eps_list[1:])):
+    if any(b.epsilon >= a.epsilon for a, b in zip(instances, instances[1:])):
         raise ValidationError("epsilon ladder must be strictly decreasing")
 
     m = len(freq)
     budget = min(policy.budget, freq.q_max)
     rows = []
-    for eps in eps_list:
-        inst = KroneckerInstance(freq, target, eps)
-        hi = min(policy.seed(eps, m), budget)
+    for inst in instances:
+        hi = min(policy.seed(inst.epsilon, m), budget)
         scan = None
         while True:
             try:
@@ -197,9 +183,9 @@ def inclusion_length_ladder(freq: FrequencyTuple, target: TorusPoint,
                 break
             hi = min(2 * hi, budget)
         if scan is None:
-            rows.append(LadderRow(eps, 0, (0, hi), True, None))
+            rows.append(LadderRow(inst.epsilon, 0, (0, hi), True, None))
         else:
-            rows.append(LadderRow(eps, scan.l_hat, scan.window, scan.truncated, scan))
+            rows.append(LadderRow(inst.epsilon, scan.l_hat, scan.window, scan.truncated, scan))
     return rows
 
 
@@ -401,8 +387,7 @@ class FrequencyMatrix:
         vector = [int(v) for v in vector]
         if len(vector) != self.n:
             raise ValidationError(f"vector length {len(vector)} != n={self.n}")
-        if any(abs(v) > self.q_max for v in vector):
-            raise PrecisionBudgetError("vector coordinate exceeds q_max budget")
+        _check_window(self.q_max, min(vector), max(vector), "vector coordinate range")
         unit = 1 << self.bits
         coords = []
         for row in self.rows:
@@ -452,8 +437,7 @@ def matrix_solution_scan(matrix: FrequencyMatrix, target: TorusPoint, epsilon: f
     lexicographically. Work scales with the box volume; the last axis is
     vectorized through the kernel, the others are enumerated.
     """
-    if not (0.0 < epsilon <= 0.5):
-        raise ValidationError(f"epsilon={epsilon} outside (0, 1/2]")
+    _check_epsilon(epsilon)
     if len(target) != matrix.m:
         raise ValidationError(f"target dimension {len(target)} != m={matrix.m}")
     box = [(int(lo), int(hi)) for lo, hi in box]
@@ -461,10 +445,7 @@ def matrix_solution_scan(matrix: FrequencyMatrix, target: TorusPoint, epsilon: f
         raise ValidationError(f"box has {len(box)} axes for n={matrix.n} columns")
     volume = 1
     for lo, hi in box:
-        if lo > hi:
-            raise ValidationError(f"empty box axis [{lo}, {hi}]")
-        if max(abs(lo), abs(hi)) > matrix.q_max:
-            raise PrecisionBudgetError("box exceeds the q_max budget")
+        _check_window(matrix.q_max, lo, hi, "box axis")
         volume *= hi - lo + 1
     if volume > budget:
         raise BudgetExceededError(
@@ -519,8 +500,7 @@ def orbit_sample(matrix: FrequencyMatrix, lattice: str, count: int,
     while side > 1 and (side - 1) ** n >= count:
         side -= 1
     if lattice == "integer":
-        if side - 1 > matrix.q_max:
-            raise PrecisionBudgetError("sample cube exceeds the q_max budget")
+        _check_window(matrix.q_max, 0, side - 1, "sample cube side")
         bits = matrix.bits
         scaled_rows = [[c.scaled for c in row] for row in matrix.rows]
     else:

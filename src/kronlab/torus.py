@@ -23,7 +23,7 @@ from fractions import Fraction
 
 import mpmath
 
-from ._fixedpoint import frac_to_unit_float, to_scaled
+from ._fixedpoint import frac_to_unit_float, round_shift, to_scaled
 from .errors import DescriptorError, PrecisionBudgetError, ValidationError
 
 DEFAULT_BITS = 192
@@ -83,16 +83,22 @@ def _evaluate(node, text: str):
     return value
 
 
+# the gmpy2 backend hands back mpz mantissas; both keep everything Python int
 def _mpf_to_fraction(x) -> Fraction:
-    sign, man, exp, _ = mpmath.mpf(x)._mpf_
-    # the gmpy2 backend hands back mpz mantissas; keep everything Python int
-    man, exp = int(man), int(exp)
-    f = Fraction(man << exp) if exp >= 0 else Fraction(man, 1 << -exp)
+    sign, man, exp, _ = x._mpf_
+    f = Fraction(int(man)) * Fraction(2) ** int(exp)
     return -f if sign else f
 
 
-def evaluate_descriptor(text: str, bits: int) -> Fraction:
-    """Evaluate a descriptor to an exact Fraction, carrying 64 guard bits."""
+def _mpf_to_scaled(x, bits: int) -> int:
+    """round(x * 2**bits), half to even; a tiny x never builds 2**-exp."""
+    sign, man, exp, _ = x._mpf_
+    v = round_shift(int(man), -int(exp) - bits)
+    return -v if sign else v
+
+
+def _evaluate_text(text: str, bits: int):
+    """The mpf value of a descriptor, evaluated at bits + 64 of precision."""
     # any run of whitespace, newlines included, separates tokens like one space
     text = " ".join((text or "").split())
     if not text:
@@ -104,7 +110,7 @@ def evaluate_descriptor(text: str, bits: int) -> Fraction:
             with warnings.catch_warnings():
                 warnings.simplefilter("error")  # "1or 2" warns, then is refused anyway
                 tree = ast.parse(text, mode="eval")
-            return _mpf_to_fraction(_evaluate(tree.body, text))
+            return _evaluate(tree.body, text)
         except DescriptorError:
             raise
         except (SyntaxError, RecursionError) as e:
@@ -113,6 +119,11 @@ def evaluate_descriptor(text: str, bits: int) -> Fraction:
             raise DescriptorError("division by zero in descriptor") from e
         except (mpmath.libmp.NoConvergence, ValueError) as e:
             raise DescriptorError(f"descriptor failed to evaluate: {e}") from e
+
+
+def evaluate_descriptor(text: str, bits: int) -> Fraction:
+    """Evaluate a descriptor to an exact Fraction, carrying 64 guard bits."""
+    return _mpf_to_fraction(_evaluate_text(text, bits))
 
 
 @dataclass(frozen=True)
@@ -131,8 +142,8 @@ class PrecisionReal:
     def parse(cls, descriptor: str, bits: int = DEFAULT_BITS) -> "PrecisionReal":
         if bits < 64:
             raise PrecisionBudgetError(f"bits={bits} is below the 64-bit floor")
-        exact = evaluate_descriptor(descriptor, bits)
-        return cls(descriptor=descriptor, bits=bits, scaled=round(exact * (1 << bits)))
+        return cls(descriptor=descriptor, bits=bits,
+                   scaled=_mpf_to_scaled(_evaluate_text(descriptor, bits), bits))
 
     @classmethod
     def from_value(cls, value, bits: int = DEFAULT_BITS, descriptor: str | None = None) -> "PrecisionReal":
@@ -182,6 +193,15 @@ def precision_budget(reals, q_max: int | None) -> tuple[int, int]:
             f"refuse to report residuals below the noise floor"
         )
     return bits, q_max
+
+
+def _check_window(q_max: int, lo: int, hi: int, what: str = "window"):
+    """Refuse an empty window [lo, hi] with ValidationError, and one that
+    reaches past q_max in either sign with PrecisionBudgetError."""
+    if lo > hi:
+        raise ValidationError(f"empty {what} [{lo}, {hi}]")
+    if hi > q_max or -lo > q_max:
+        raise PrecisionBudgetError(f"{what} [{lo}, {hi}] exceeds the precision budget q_max={q_max}")
 
 
 class FrequencyTuple:
@@ -243,12 +263,8 @@ class TorusPoint(tuple):
 
     @classmethod
     def from_values(cls, values) -> "TorusPoint":
-        """Wrap arbitrary reals, reducing mod 1 onto the grid."""
-        out = []
-        for v in values:
-            f = Fraction(v) % 1
-            out.append(frac_to_unit_float(round(f * (1 << 64)) % (1 << 64), 64))
-        return cls(out)
+        """Wrap arbitrary reals, rounding each half to even onto the grid, mod 1."""
+        return cls(frac_to_unit_float(to_scaled(v, 53) % (1 << 53), 53) for v in values)
 
 
 def torus_norm(point) -> float:
@@ -287,16 +303,11 @@ def frac_mult(freq, q: int) -> TorusPoint:
     must respect the tuple's q_max budget, in either sign.
     """
     if isinstance(freq, PrecisionReal):
-        comps: tuple[PrecisionReal, ...] = (freq,)
-        q_max = 1 << (freq.bits - 32)
-    else:
-        comps = freq.components
-        q_max = freq.q_max
+        freq = FrequencyTuple([freq])
     q = int(q)
-    if abs(q) > q_max:
-        raise PrecisionBudgetError(f"|q|={abs(q)} exceeds the precision budget q_max={q_max}")
+    _check_window(freq.q_max, q, q, "multiplier")
     coords = []
-    for c in comps:
+    for c in freq.components:
         v = (c.scaled * q) % (1 << c.bits)
         coords.append(frac_to_unit_float(v, c.bits))
     return TorusPoint(coords)

@@ -1,6 +1,7 @@
 """Window argmins, continued fractions, and denominator ladders."""
 import math
 import random
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -240,6 +241,15 @@ class TestConvergentSequence:
         with pytest.raises(PrecisionBudgetError):
             convergent_sequence(f, 2.0, 40)
 
+    def test_over_budget_ladder_refused_at_its_first_level_past_q_max(self, golden_freq):
+        with pytest.raises(PrecisionBudgetError, match=r"^beta\^274 window") as info:
+            convergent_sequence(golden_freq, 1.5, 3000)
+        assert len(str(info.value)) < 200
+        start = time.perf_counter()
+        with pytest.raises(PrecisionBudgetError, match=r"^beta\^161 window"):
+            convergent_sequence(golden_freq, 2.0, 10 ** 5)
+        assert time.perf_counter() - start < 0.5
+
     def test_cf_fast_path_matches_scan_construction(self, golden_freq):
         # windows past 10**6 extend the ladder; the small-K prefix must be
         # unchanged
@@ -263,6 +273,13 @@ class TestRepairMonotone:
 
 
 class TestSequenceDiagnostics:
+    @pytest.mark.parametrize("beta, k", [(1.2, 4), (1.1, 3)])
+    def test_one_denominator_below_the_top_level_cannot_be_fitted(self, golden_freq, beta, k):
+        seq = convergent_sequence(golden_freq, beta, k)
+        assert len(set(seq.denominators[:-1])) == 1
+        with pytest.raises(InsufficientDataError):
+            verify_sequence_properties(seq)
+
     def test_golden_growth(self, golden_seq12):
         diag = verify_sequence_properties(golden_seq12)
         assert diag.growth_exponent == pytest.approx(1.0028, abs=0.02)

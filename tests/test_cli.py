@@ -7,7 +7,8 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from kronlab import FrequencyTuple, KroneckerInstance, TorusPoint, ValidationError, cli
+from kronlab import (FrequencyTuple, KroneckerInstance, TorusPoint, ValidationError,
+                     WindowPolicy, cli)
 from kronlab.cli import main
 
 
@@ -52,6 +53,13 @@ class TestConvergents:
         diag = json.loads((tmp_path / "diagnostics.json").read_text())
         assert abs(diag["growth_exponent"] - 1.0) < 0.1
         assert diag["gamma_low"] <= diag["gamma_high"]
+
+    @pytest.mark.parametrize("beta, k", [("1.2", 4), ("1.1", 3)])
+    def test_degenerate_growth_fit_exits_5_and_writes_nothing(self, tmp_path, beta, k):
+        r = run("convergents", "--freq", "golden-1", "--beta", beta, "--k", k,
+                "--out", tmp_path / "out")
+        assert r.exit_code == 5, r.output
+        assert not (tmp_path / "out").exists()
 
 
 class TestScan:
@@ -441,6 +449,14 @@ PINNED = [
         "stdout": "3a13492c5a9edcd012c44ffb44d8ad7c158d1a23ed5d3301b35f5890b37034ea",
     }),
 ]
+
+
+@pytest.mark.parametrize("command", ["scan", "dimension"])
+def test_policy_option_defaults_are_window_policys(command):
+    defaults = {p.name: p.default for p in main.commands[command].params}
+    policy = WindowPolicy()
+    assert (defaults["seed_min"], defaults["seed_factor"], defaults["budget"]) == (
+        policy.seed_min, policy.seed_factor, policy.budget)
 
 
 @pytest.mark.parametrize("argv, digests", PINNED, ids=[a for a, _ in PINNED])

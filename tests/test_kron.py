@@ -659,3 +659,44 @@ def test_solution_dtype_follows_the_window():
         assert scan.l_hat == max(gaps)
         worst = max(torus_norm(frac_mult(freq, b - a)) for a in sols for b in sols)
         assert max_pair_residual(scan) == worst
+
+
+WINDOW_Q = 1024
+WINDOW_FREQ = FrequencyTuple.parse(["sqrt(2)-1", "pi-3"], q_max=WINDOW_Q)
+WINDOW_ROW = FrequencyMatrix.parse("sqrt(2)-1,pi-3", q_max=WINDOW_Q)
+WINDOW_INST = KroneckerInstance.homogeneous(WINDOW_FREQ, 0.25)
+# every entry point that refuses a window past q_max, as a call on [lo, hi];
+# those whose windows start at 0 or 1 ignore lo. frac_mult is covered in
+# test_torus.
+GUARDED_WINDOWS = {
+    "solve_in_interval": lambda lo, hi: solve_in_interval(WINDOW_INST, lo, hi),
+    "gap_scan": lambda lo, hi: gap_scan(WINDOW_INST, lo, hi),
+    "matrix_solution_scan": lambda lo, hi: matrix_solution_scan(
+        WINDOW_ROW, TorusPoint([0.0]), 0.25, [(0, 0), (lo, hi)]),
+    "FrequencyMatrix.apply": lambda lo, hi: WINDOW_ROW.apply([lo, hi]),
+    "dirichlet_search": lambda lo, hi: kronlab.dirichlet_search(WINDOW_FREQ, hi),
+    "estimate_diophantine_order": lambda lo, hi: kronlab.estimate_diophantine_order(
+        WINDOW_FREQ, hi),
+    # one level, whose window is [1, floor(beta)]
+    "convergent_sequence": lambda lo, hi: convergent_sequence(WINDOW_FREQ, hi + 0.5, 1),
+    # the cube [0, hi] of a one-column matrix
+    "orbit_sample": lambda lo, hi: orbit_sample(
+        FrequencyMatrix.parse("sqrt(2)-1", q_max=WINDOW_Q), "integer", hi + 1),
+}
+TWO_SIDED = {"solve_in_interval", "gap_scan", "matrix_solution_scan", "FrequencyMatrix.apply"}
+# dirichlet_search and estimate_diophantine_order test their empty windows
+CAN_BE_EMPTY = {"solve_in_interval", "gap_scan", "matrix_solution_scan"}
+
+
+@pytest.mark.parametrize("name", sorted(GUARDED_WINDOWS))
+def test_windows_at_q_max_pass_and_past_it_are_refused(name):
+    call = GUARDED_WINDOWS[name]
+    call(-WINDOW_Q, WINDOW_Q)
+    with pytest.raises(PrecisionBudgetError, match=f"q_max={WINDOW_Q}"):
+        call(-WINDOW_Q, WINDOW_Q + 1)
+    if name in TWO_SIDED:
+        with pytest.raises(PrecisionBudgetError):
+            call(-WINDOW_Q - 1, WINDOW_Q)
+    if name in CAN_BE_EMPTY:
+        with pytest.raises(ValidationError):
+            call(1, 0)

@@ -2,6 +2,7 @@
 import math
 import random
 import re
+import tracemalloc
 from fractions import Fraction
 
 import mpmath
@@ -236,6 +237,13 @@ class TestDescriptors:
             evaluate_descriptor("nope(1)", 64)
 
 
+KNOWN_DESCRIPTORS = [
+    "golden-1", "sqrt(2)-1", "sqrt(3)-1", "cbrt(2)-1", "cbrt(3)-1", "pi-3", "e-2",
+    "log(5)-1", "zeta(3)-1", "(golden-1)/2", "zeta(3)", "(sqrt(5)-1)/2", "2.5e-1",
+    "1.", "00", "07.5", "sqrt (2)", "-+-1", "65535*65535",
+]
+
+
 class TestDescriptorGrammar:
     """The ast-based evaluator against the former parser."""
 
@@ -248,13 +256,29 @@ class TestDescriptorGrammar:
             assert outcome(text, bits) == expected_descriptor(text, bits), text
 
     @pytest.mark.parametrize("bits", [64, 128, 192, 256])
-    @pytest.mark.parametrize("text", [
-        "golden-1", "sqrt(2)-1", "sqrt(3)-1", "cbrt(2)-1", "cbrt(3)-1", "pi-3", "e-2",
-        "log(5)-1", "zeta(3)-1", "(golden-1)/2", "zeta(3)", "(sqrt(5)-1)/2", "2.5e-1",
-        "1.", "00", "07.5", "sqrt (2)", "-+-1", "65535*65535",
-    ])
+    @pytest.mark.parametrize("text", KNOWN_DESCRIPTORS)
     def test_known_descriptors_match_reference(self, text, bits):
         assert evaluate_descriptor(text, bits) == expected_descriptor(text, bits)
+
+    @pytest.mark.parametrize("bits", [64, 128, 192, 256])
+    @pytest.mark.parametrize("text", KNOWN_DESCRIPTORS)
+    def test_parse_rounds_the_exact_value_once(self, text, bits):
+        exact = evaluate_descriptor(text, bits)
+        assert PrecisionReal.parse(text, bits).scaled == round(exact * (1 << bits))
+
+    @pytest.mark.parametrize("text, scaled", [("1.5/65536/65536/65536/65536", 2),
+                                              ("2.5/65536/65536/65536/65536", 2),
+                                              ("-1.5/65536/65536/65536/65536", -2)])
+    def test_parse_rounds_ties_to_even(self, text, scaled):
+        assert PrecisionReal.parse(text, 64).scaled == scaled
+
+    def test_tiny_descriptor_parses_without_giant_integers(self):
+        tracemalloc.start()
+        try:
+            assert PrecisionReal.parse("1e-99999999").scaled == 0
+            assert tracemalloc.get_traced_memory()[1] < 1 << 20
+        finally:
+            tracemalloc.stop()
 
     @pytest.mark.parametrize("text", ["1\n+2", "sqrt(2)\n-1", "1\u00a0+\t2", " pi "])
     def test_any_whitespace_separates_tokens(self, text):
@@ -353,6 +377,9 @@ class TestTorusPoint:
     def test_from_values_reduces_mod_one(self):
         assert TorusPoint.from_values([1.25, -0.25]) == (0.25, 0.75)
         assert TorusPoint.from_values([3]) == (0.0,)
+        # just below the tie between 3 and 4 units of 2**-53: one rounding gives 3
+        assert TorusPoint.from_values([Fraction(7, 1 << 54) - Fraction(1, 1 << 70)]) == (
+            3 / 2.0 ** 53,)
 
 
 class TestMetric:
