@@ -3,8 +3,8 @@
 A real number is stored as ``round(value * 2**bits)``, a plain Python int,
 so multiplying by an integer q and reducing mod 1 are exact operations on
 integers. The hot loops (window scans over millions of q) cannot afford
-per-element bigint work, so they run on 128-bit fixed point: four uint64
-limb multiplications per coordinate, carried mod 2**128 in numpy.
+per-element bigint work, so they run on 128-bit fixed point: every numpy
+128-bit product goes through the one carry chain, dot_hi64.
 
 The kernel alone decides which 128 bits it sees. Each chunk's anchor is
 the top 128 bits of the exact ``(scaled*start - offset) mod 2**bits``; the
@@ -22,7 +22,6 @@ import numpy as np
 
 KERNEL_BITS = 128
 _MOD = 1 << KERNEL_BITS
-_M32 = np.uint64(0xFFFFFFFF)
 _SHIFT32 = np.uint64(32)
 # small enough that a chunk's uint64 temporaries stay in cache: on a 2-core
 # x86 VM, 2**19 scanned 2-3x fewer q/s than 2**15
@@ -78,31 +77,36 @@ def step128(scaled: int, bits: int) -> int:
     return (scaled >> (bits - KERNEL_BITS)) % _MOD
 
 
-def _limbs(v: int) -> tuple[np.uint64, np.uint64, np.uint64, np.uint64]:
-    return (
-        np.uint64(v & 0xFFFFFFFF),
-        np.uint64((v >> 32) & 0xFFFFFFFF),
-        np.uint64((v >> 64) & 0xFFFFFFFF),
-        np.uint64((v >> 96) & 0xFFFFFFFF),
-    )
+def dot_hi64(anchor: int, steps: list[int], digits: list[np.ndarray]) -> np.ndarray:
+    """Top 64 bits of (anchor + sum(t * x)) mod 2**128, elementwise.
 
-
-def dot_hi64(steps: list[int], digits: list[np.ndarray]) -> np.ndarray:
-    """Top 64 bits of sum(t * x) mod 2**128 over steps t and uint64 digit arrays x.
-
-    Limb k sums one 32-bit limb of each step times its digits, plus the
-    carry out of limb k - 1; by induction that stays below
-    n * max(x) * 2**32, so every sum is exact while n * max(x) < 2**32.
+    anchor and the steps t lie in [0, 2**128); the digits x are uint64 arrays,
+    one per step. Classical multiprecision multiplication (Knuth, TAOCP
+    Vol. 2, 4.3.1, Algorithm M) in one uint64 accumulator, on the limbs
+    v = v0 + v1 * 2**32 + V * 2**64 of the anchor a and of each t: limb 0
+    sums a0 + sum(t0 * x), limb 1 adds a1 + sum(t1 * x) to its carry out,
+    and as the low 64 bits reach the top 64 only through limb 1's carry out,
+    that carry plus A + sum(T * x), wrapped mod 2**64, is the answer.
+    Exact while S < 2**32, S the largest per-element sum(x): a carry in of
+    at most S gives a limb sum of at most (2**32 - 1) * (S + 1) + S =
+    (S + 1) * 2**32 - 1 < 2**64, whose carry out is at most S again; the
+    carry into limb 0 is 0.
     """
-    limbs = [_limbs(t) for t in steps]
-    acc = np.zeros_like(digits[0])
-    words = []
-    for k in range(4):
-        acc = acc >> _SHIFT32
-        for limb, x in zip(limbs, digits):
-            acc += x * limb[k]
-        words.append(acc & _M32)
-    return words[2] | (words[3] << _SHIFT32)
+    a, *limbs = [[np.uint64(v & 0xFFFFFFFF), np.uint64((v >> 32) & 0xFFFFFFFF), np.uint64(v >> 64)]
+                 for v in (anchor, *steps)]
+    # prod first: freed below acc on return, it is reused, not trimmed off
+    # the heap top and faulted in again next call (scan-ladder ops took 1.7x
+    # the page faults the other way round, on a 2-core x86 VM)
+    prod = np.empty_like(digits[0])
+    acc = np.multiply(digits[0], limbs[0][0])
+    for k in range(3):
+        if k:
+            acc >>= _SHIFT32
+        acc += a[k]
+        for j, (x, t) in enumerate(zip(digits, limbs)):
+            if k or j:
+                acc += np.multiply(x, t[k], out=prod)
+    return acc
 
 
 def hi64_to_unit_floats(hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -160,21 +164,8 @@ class ResidualKernel:
         return max(min(v, self.unit - v) for v in vs)
 
     def _coord_dists(self, step: int, anchor: int, idx: np.ndarray) -> np.ndarray:
-        # 32-bit limb school multiplication, carried mod 2**128; only the
-        # top 64 bits survive into the distance. idx < 2**30 keeps every
-        # partial sum below 2**63.
-        v0, v1, v2, v3 = _limbs(step)
-        a0, a1, a2, a3 = _limbs(anchor)
-        s = idx * v0 + a0
-        c = s >> _SHIFT32
-        s = idx * v1 + a1 + c
-        c = s >> _SHIFT32
-        s = idx * v2 + a2 + c
-        c = s >> _SHIFT32
-        hi = s & _M32
-        s = idx * v3 + a3 + c
-        hi |= (s & _M32) << _SHIFT32
-        return np.minimum(hi, np.uint64(0) - hi)
+        hi = dot_hi64(anchor, [step], [idx])
+        return np.minimum(hi, np.uint64(0) - hi, out=hi)
 
     def _max_dists(self, start: int, idx: np.ndarray) -> np.ndarray:
         out = None
@@ -241,9 +232,8 @@ def record_lows(kernel: ResidualKernel, lo: int, hi: int) -> tuple[np.ndarray, n
     best = np.uint64(1 << 63)
     best_exact = kernel.unit
     step0, *rest = kernel.steps
-    idx = None
+    idx = np.arange(min(CHUNK, hi - lo + 1), dtype=np.uint64)  # the first span is longest
     for start, n in _spans(lo, hi):
-        idx = np.arange(n, dtype=np.uint64) if idx is None else idx
         anchor0, *anchors = kernel._anchors(start)
         d0 = kernel._coord_dists(step0, anchor0, idx[:n])
         pos = np.flatnonzero(d0 < best + 2 * _SLACK)

@@ -83,9 +83,11 @@ def _expansion(omega: PrecisionReal):
 
 
 def _nonzero_residuals(freq: FrequencyTuple, qs) -> list[float]:
-    """The residual of each q, on the 2**-53 grid; one that rounds to 0 there
-    means the stored value is rational at this precision, and is refused."""
-    residuals = [torus_norm(frac_mult(freq, q)) for q in qs]
+    """The residual of each q (evaluated once per distinct q, which ladders
+    repeat) on the 2**-53 grid; one that rounds to 0 there means the stored
+    value is rational at this precision, and is refused."""
+    by_q = {q: torus_norm(frac_mult(freq, q)) for q in set(qs)}
+    residuals = [by_q[q] for q in qs]
     if 0.0 in residuals:
         raise RationalFrequencyError(
             f"residual vanished at q={qs[residuals.index(0.0)]}; the frequency is "
@@ -138,8 +140,8 @@ class ConvergentSequence:
     """Non-decreasing denominators q_1..q_K built at windows beta^k.
 
     partial_quotient_bounds[k] = floor(q_{k+2}/q_{k+1}) caps the greedy
-    coefficients downstream; c_hat = beta^(1/m) certifies the residual
-    bound residual_k <= c_hat * (1/q_{k+1})^(1/m), checked at build time.
+    coefficients downstream; c_hat = beta^(1/m) certifies residuals[k] <=
+    residual_bounds[k] = c_hat * (1/q_{k+2})^(1/m), checked at build time.
     """
 
     frequency: FrequencyTuple
@@ -148,6 +150,7 @@ class ConvergentSequence:
     residuals: tuple[float, ...]
     partial_quotient_bounds: tuple[int, ...]
     c_hat: float
+    residual_bounds: tuple[float, ...]
 
     def __len__(self) -> int:
         return len(self.denominators)
@@ -158,19 +161,26 @@ class ConvergentSequence:
             raise KronlabError("denominators must be non-decreasing")
 
 
-def repair_monotone(denominators) -> list[int]:
-    """Backward sweep pulling each entry down to the following one.
+def _power_floors(beta):
+    """Yield floor(beta**k) for k = 1, 2, ..., exactly, in bounded precision.
 
-    The window argmin can only improve as the window grows, so with the
-    smallest-q tie rule this sweep is a no-op for sequences built here;
-    it exists because the construction is stated with it and synthetic
-    inputs may need it.
+    With beta = n/d, integers lo <= x_k = beta**k * 2**128 <= hi, both x_0 at
+    k = 0, carry over as lo*n//d <= x_k*n/d = x_{k+1} <= ceil(hi*n/d). floor
+    is monotone, so lo >> 128 <= floor(beta**k) <= hi >> 128, and if the two
+    agree that is the answer. If not, the bracket restarts from the exact
+    lo = floor(x_k) = (n**k << 128) // d**k, hi = lo + 1, and lo >> 128 =
+    floor(x_k / 2**128). A step turns a width w into at most w*beta + 2, so
+    j levels after a restart it is below beta**j * (1 + 2/(beta - 1)), and
+    restarts stay rare while that is far below 2**128.
     """
-    out = list(denominators)
-    for k in range(len(out) - 2, -1, -1):
-        if out[k] > out[k + 1]:
-            out[k] = out[k + 1]
-    return out
+    n, d = Fraction(beta).as_integer_ratio()
+    lo = hi = 1 << 128
+    for k in itertools.count(1):
+        lo, hi = lo * n // d, -(-hi * n // d)
+        if lo >> 128 != hi >> 128:
+            lo = (n ** k << 128) // d ** k
+            hi = lo + 1
+        yield lo >> 128
 
 
 def convergent_sequence(freq: FrequencyTuple, beta, K: int) -> ConvergentSequence:
@@ -179,13 +189,11 @@ def convergent_sequence(freq: FrequencyTuple, beta, K: int) -> ConvergentSequenc
     if K < 1:
         raise ValidationError(f"need K >= 1 levels, got {K}")
     m = len(freq)
-    b = power = Fraction(beta)
     checkpoints = []
     # grown level by level, so a window past the budget is refused at its level
-    for k in range(1, K + 1):
-        checkpoints.append(math.floor(power))
-        _check_window(freq.q_max, 1, checkpoints[-1], f"beta^{k} window")
-        power *= b
+    for k, c in zip(range(1, K + 1), _power_floors(beta)):
+        checkpoints.append(c)
+        _check_window(freq.q_max, 1, c, f"beta^{k} window")
 
     # the earliest argmin on [1, c] is the last record low at or below c
     qs = _record_lows(freq, checkpoints[-1])
@@ -193,13 +201,10 @@ def convergent_sequence(freq: FrequencyTuple, beta, K: int) -> ConvergentSequenc
     residuals = _nonzero_residuals(freq, dens)
 
     c_hat = float(beta) ** (1.0 / m)
-    for k in range(len(dens) - 1):
-        bound = c_hat * (1.0 / dens[k + 1]) ** (1.0 / m)
-        if residuals[k] > bound:
-            raise KronlabError(
-                f"residual certificate failed at level {k + 1}: "
-                f"{residuals[k]} > {bound}"
-            )
+    residual_bounds = tuple(c_hat * (1.0 / q) ** (1.0 / m) for q in dens[1:])
+    for k, (r, bound) in enumerate(zip(residuals, residual_bounds)):
+        if r > bound:
+            raise KronlabError(f"residual certificate failed at level {k + 1}: {r} > {bound}")
 
     bounds = tuple(dens[k + 1] // dens[k] for k in range(len(dens) - 1))
     return ConvergentSequence(
@@ -209,6 +214,7 @@ def convergent_sequence(freq: FrequencyTuple, beta, K: int) -> ConvergentSequenc
         residuals=tuple(residuals),
         partial_quotient_bounds=bounds,
         c_hat=c_hat,
+        residual_bounds=residual_bounds,
     )
 
 

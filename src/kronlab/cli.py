@@ -17,6 +17,7 @@ from __future__ import annotations
 import csv
 import dataclasses
 import inspect
+import itertools
 import json
 import sys
 from fractions import Fraction
@@ -114,16 +115,9 @@ def _run_convergents(freq: str, beta: float, k: int, precision: int,
                      out: str, fmt: str):
     frequency = _parse_frequency(freq, precision)
     seq = convergent_sequence(frequency, beta, k)
-    m = len(frequency)
-    rows = []
-    for i, (q, r) in enumerate(zip(seq.denominators, seq.residuals)):
-        if i + 1 < len(seq.denominators):
-            a_next = seq.partial_quotient_bounds[i]
-            bound = seq.c_hat * (1.0 / seq.denominators[i + 1]) ** (1.0 / m)
-        else:
-            a_next = None
-            bound = None
-        rows.append((i + 1, q, r, a_next, bound))
+    # the last level has no a_next and no bound
+    rows = [(i, *level) for i, level in enumerate(itertools.zip_longest(
+        seq.denominators, seq.residuals, seq.partial_quotient_bounds, seq.residual_bounds), 1)]
     if fmt == "json":
         files = {"sequence.json": {
             "beta": seq.beta,

@@ -57,8 +57,8 @@ class DimensionEstimate:
 
 
 def _check_dyadic(scale: float) -> float:
-    j = -math.log2(scale)
-    if scale > 0.5 or abs(j - round(j)) > 1e-12:
+    # the range test comes first: log2 refuses 0 and negatives, and NaN fails it
+    if not (0 < scale <= 0.5 and abs((j := -math.log2(scale)) - round(j)) <= 1e-12):
         raise ValidationError(f"scale {scale} is not a dyadic fraction <= 1/2")
     if j > MAX_SCALE_BITS:
         raise ValidationError(f"scale {scale} is finer than 2**-{MAX_SCALE_BITS}")

@@ -247,10 +247,14 @@ class AlmostPeriod:
     residual: float
 
 
+def _check_k0(seq: ConvergentSequence, k0: int) -> None:
+    if not 1 <= k0 <= len(seq):
+        raise ValidationError(f"k0={k0} out of range 1..{len(seq)}")
+
+
 def greedy_almost_period(seq: ConvergentSequence, target, k0: int) -> AlmostPeriod:
+    _check_k0(seq, k0)
     dens = seq.denominators
-    if not 1 <= k0 <= len(dens):
-        raise ValidationError(f"k0={k0} out of range 1..{len(dens)}")
     goal = target if isinstance(target, (int, float)) else Fraction(target)
     sign = -1 if goal < 0 else 1
     # the denominators are integers, so floor((|goal| - n) / q) and every
@@ -303,8 +307,7 @@ class QualityRecord:
 
 def almost_period_quality(seq: ConvergentSequence, k0: int, sample_targets,
                           nu: float = 0.0) -> QualityRecord:
-    if not 1 <= k0 <= len(seq.denominators):
-        raise ValidationError(f"k0={k0} out of range 1..{len(seq.denominators)}")
+    _check_k0(seq, k0)
     if not math.isfinite(nu):
         raise ValidationError(f"nu must be a finite number, got {nu}")
     m = len(seq.frequency)
@@ -525,7 +528,7 @@ def orbit_sample(matrix: FrequencyMatrix, lattice: str, count: int,
         # the 128-bit steps truncate toward -inf, so the dot product
         # underestimates the exact value by less than sum(x) < 2**32 units
         # of 2**-128, far inside the window hi64_to_unit_floats flags
-        hi = fx.dot_hi64([fx.step128(s, bits) for s in row], digits)
+        hi = fx.dot_hi64(0, [fx.step128(s, bits) for s in row], digits)
         coords[j], unsure = fx.hi64_to_unit_floats(hi)
         for i in unsure.tolist():
             vec = [int(x[i]) for x in digits]

@@ -1,4 +1,5 @@
 """Window argmins, continued fractions, and denominator ladders."""
+import itertools
 import math
 import random
 import time
@@ -21,11 +22,10 @@ from kronlab import (
     dirichlet_search,
     estimate_diophantine_order,
     frac_mult,
-    repair_monotone,
     torus_norm,
     verify_sequence_properties,
 )
-from kronlab.approx import _kernel_for, _record_lows
+from kronlab.approx import _kernel_for, _power_floors, _record_lows
 from kronlab import _fixedpoint as fx
 
 M32 = np.uint64(0xFFFFFFFF)
@@ -202,6 +202,12 @@ class TestConvergentSequence:
             bound = golden_seq12.c_hat * (1.0 / dens[k + 1]) ** (1.0 / m)
             assert golden_seq12.residuals[k] <= bound
 
+    def test_residual_bounds_carried(self, pair_freq, golden_seq12):
+        for seq in (golden_seq12, convergent_sequence(pair_freq, 4.0, 8)):
+            m, dens = len(seq.frequency), seq.denominators
+            assert seq.residual_bounds == tuple(
+                seq.c_hat * (1.0 / q) ** (1.0 / m) for q in dens[1:])
+
     def test_two_dimensional_invariants(self, pair_freq):
         seq = convergent_sequence(pair_freq, 4.0, 8)
         assert seq.c_hat == pytest.approx(2.0)
@@ -250,26 +256,32 @@ class TestConvergentSequence:
             convergent_sequence(golden_freq, 2.0, 10 ** 5)
         assert time.perf_counter() - start < 0.5
 
+    @pytest.mark.parametrize("beta, K", [
+        (1.0001, 2000), (1.5, 2000), (2.0, 300), (1.618033988749895, 1000),
+        (Fraction(7, 3), 800), (Fraction(10 ** 20 + 1, 10 ** 20), 1000),
+        # beta**2 lies 2**-199 below 2, inside the bracket: the exact fallback
+        (Fraction(math.isqrt(2 << 400), 1 << 200), 40),
+    ])
+    def test_power_floors_equal_exact_powers(self, beta, K):
+        b = power = Fraction(beta)
+        want = []
+        for _ in range(K):
+            want.append(math.floor(power))
+            power *= b
+        assert list(itertools.islice(_power_floors(beta), K)) == want
+
+    def test_long_ladder_near_one_is_fast(self, golden_freq):
+        start = time.perf_counter()
+        seq = convergent_sequence(golden_freq, 1.0001, 100_000)
+        assert time.perf_counter() - start < 1.0
+        assert seq.denominators[-1] == 17711
+
     def test_cf_fast_path_matches_scan_construction(self, golden_freq):
         # windows past 10**6 extend the ladder; the small-K prefix must be
         # unchanged
         big = convergent_sequence(golden_freq, 2.0, 21)
         small = convergent_sequence(golden_freq, 2.0, 12)
         assert big.denominators[:12] == small.denominators
-
-
-class TestRepairMonotone:
-    def test_pulls_down(self):
-        assert repair_monotone([5, 3, 4]) == [3, 3, 4]
-        assert repair_monotone([1, 2, 3]) == [1, 2, 3]
-        assert repair_monotone([9]) == [9]
-
-    @given(st.lists(st.integers(min_value=1, max_value=1000), min_size=1, max_size=20))
-    def test_output_non_decreasing_and_idempotent(self, xs):
-        out = repair_monotone(xs)
-        assert all(a <= b for a, b in zip(out, out[1:]))
-        assert repair_monotone(out) == out
-        assert out[-1] == xs[-1]
 
 
 class TestSequenceDiagnostics:

@@ -197,6 +197,14 @@ class TestOrbit:
         r = run("orbit", "--matrix", "sqrt(2)", "--count", 1, "--out", tmp_path)
         assert r.exit_code == 5
 
+    @pytest.mark.parametrize("scale", ["0", "-0.25", "1e-400"])
+    def test_nonpositive_scale_exits_2(self, tmp_path, scale):
+        # 1e-400 parses to 0.0
+        r = run("orbit", "--matrix", "1,0;0,sqrt(2)", "--count", 100,
+                "--scales", f"{scale},0.25,0.125,0.0625,0.03125", "--out", tmp_path / "out")
+        assert r.exit_code == 2, r.output
+        assert not (tmp_path / "out").exists()
+
 
 class TestBounds:
     def test_defined_bracket(self, tmp_path):

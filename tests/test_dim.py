@@ -85,6 +85,11 @@ class TestBoxCount:
         with pytest.raises(ValueError):
             box_count([(0.1,)], [0.75])
 
+    @pytest.mark.parametrize("scale", [0.0, -0.25, math.nan])
+    def test_nonpositive_or_nan_scale_is_validation_error(self, scale):
+        with pytest.raises(ValidationError):
+            box_count([(0.1,)], [scale, 0.25])
+
     def test_empty_points_rejected(self):
         with pytest.raises(ValueError):
             box_count([], [0.25])

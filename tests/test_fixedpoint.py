@@ -77,6 +77,29 @@ def test_eps_to_u64_boundaries():
 kernel_ints = st.integers(min_value=0, max_value=MOD - 1)
 
 
+def test_dot_hi64_matches_bigint_reference():
+    rng = random.Random("dot_hi64")
+    top = MOD - 1  # all-ones limbs: a carry runs through every limb
+    cases = [
+        # the kernel's largest in-chunk offset
+        (top, [top], [[(1 << 30) - 1, 1, 0]]),
+        (rng.randrange(MOD), [rng.randrange(MOD)], [[(1 << 30) - 1]]),
+        # per-element sums of 2**32 - 1, the most the precondition admits
+        (top, [top], [[(1 << 32) - 1]]),
+        (top, [top] * 3, [[(1 << 32) - 1, 0], [0, 1 << 31], [0, (1 << 31) - 1]]),
+        (0, [top] * 2, [[1 << 31, (1 << 32) - 1], [(1 << 31) - 1, 0]]),
+    ]
+    for _ in range(20):
+        m = rng.randrange(1, 4)
+        cases.append((rng.choice([0, rng.randrange(MOD)]), [rng.randrange(MOD) for _ in range(m)],
+                      [[rng.randrange((1 << 32) // m) for _ in range(8)] for _ in range(m)]))
+    for anchor, steps, digits in cases:
+        got = fx.dot_hi64(anchor, steps, [np.array(x, dtype=np.uint64) for x in digits])
+        want = [((anchor + sum(t * x for t, x in zip(steps, xs))) % MOD) >> 64
+                for xs in zip(*digits)]
+        assert got.tolist() == want
+
+
 @given(st.lists(kernel_ints, min_size=1, max_size=3),
        st.lists(kernel_ints, min_size=3, max_size=3),
        st.integers(min_value=0, max_value=1 << 40),
