@@ -258,7 +258,8 @@ def _run_orbit(matrix: str, lattice: str, count: int, step: float | None,
     curve = box_count(points, _parse_floats(scales))
     est = box_dimension_fit(curve)
     files = {
-        "points.csv": ([f"x{j}" for j in range(mat.m)], points),
+        # tolist() gives Python floats, whose repr the CSV cells use
+        "points.csv": ([f"x{j}" for j in range(mat.m)], points.tolist()),
         "boxcounts.csv": (["scale", "count"], list(zip(curve.scales, curve.counts))),
         "estimate.json": {
             **_estimate_fields(est),

@@ -14,7 +14,6 @@ excluded from fits, never from the reported curve.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -62,19 +61,7 @@ def _check_dyadic(scale: float) -> float:
         raise ValidationError(f"scale {scale} is not a dyadic fraction <= 1/2")
     if j > MAX_SCALE_BITS:
         raise ValidationError(f"scale {scale} is finer than 2**-{MAX_SCALE_BITS}")
-    return float(scale)
-
-
-def _as_rows(points) -> np.ndarray:
-    """Points as a float (N, d) array; plain floats are points of dimension 1."""
-    pts = list(points)
-    if pts and isinstance(pts[0], tuple) and len(set(map(len, pts))) == 1:
-        # np.asarray walks a list of tuple subclasses such as TorusPoint
-        # several times slower than fromiter walks their coordinates
-        n, d = len(pts), len(pts[0])
-        return np.fromiter(itertools.chain.from_iterable(pts), float, n * d).reshape(n, d)
-    arr = np.asarray(pts, dtype=float)
-    return arr[:, None] if arr.ndim == 1 else arr
+    return 2.0 ** -round(j)
 
 
 def _sorted_rows(words: np.ndarray) -> np.ndarray:
@@ -118,6 +105,9 @@ def _morton_words(cells: np.ndarray, levels: int) -> np.ndarray:
 def box_count(points, scales) -> BoxCountCurve:
     """Count occupied grid cells of side eps for each dyadic eps.
 
+    points is an (N, d) array-like, or 1-D for d = 1. A scale within
+    1e-12 of 2**-j in log2 is reported as exactly 2**-j.
+
     Cells wrap nothing explicitly: coordinates must live in [0, 1) and
     the dyadic grid tiles the torus exactly, so cell index floor(x / eps)
     is both the Euclidean and the torus assignment.
@@ -128,7 +118,8 @@ def box_count(points, scales) -> BoxCountCurve:
     keys stay sorted under truncation, so each count is 1 plus the
     number of prefix changes between neighbours.
     """
-    arr = _as_rows(points)
+    arr = np.asarray(points, dtype=float, order="C")  # _morton_words views rows as bytes
+    arr = arr[:, None] if arr.ndim == 1 else arr
     if arr.size == 0:
         raise ValidationError("empty point set")
     if not ((arr >= 0.0) & (arr < 1.0)).all():

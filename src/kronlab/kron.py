@@ -201,18 +201,20 @@ def max_pair_residual(scan: GapScan) -> float:
     in [-1/2, 1/2). With the displacements sorted, the partner of x_i
     farthest from the lattice is the last x_k within 1/2 above it or the
     first one beyond, so one two-pointer pass per coordinate finds the
-    worst pair without forming the difference set.
+    worst pair distance d*. It is the residual of the worst difference w:
+    each coordinate distance of w is a pair distance, so at most d*, and
+    grid rounding is monotone and sign-symmetric. w itself may exceed
+    q_max, so d* is rounded directly.
     """
     freq = scan.instance.frequency
     sols = scan.solutions.tolist()
     unit = 1 << freq.bits
     half = unit >> 1
-    worst_d, worst_q = 0, 0
+    worst_d = 0
     for c, theta in zip(freq.components, scan.instance.target):
         t = fx.to_scaled(theta, freq.bits)
         # solutions sharing a displacement are interchangeable here
-        owner = {(c.scaled * q - t + half) % unit - half: q for q in sols}
-        xs = sorted(owner)
+        xs = sorted({(c.scaled * q - t + half) % unit - half for q in sols})
         last = len(xs) - 1
         k = 0
         for i, xi in enumerate(xs):
@@ -220,14 +222,11 @@ def max_pair_residual(scan: GapScan) -> float:
                 k = i
             while k < last and xs[k + 1] - xi <= half:
                 k += 1
-            d = xs[k] - xi
-            if d > worst_d:
-                worst_d, worst_q = d, owner[xs[k]] - owner[xi]
-            if k < last:
-                d = unit - (xs[k + 1] - xi)
-                if d > worst_d:
-                    worst_d, worst_q = d, owner[xs[k + 1]] - owner[xi]
-    return torus_norm(frac_mult(freq, worst_q))
+            if xs[k] - xi > worst_d:
+                worst_d = xs[k] - xi
+            if k < last and unit - (xs[k + 1] - xi) > worst_d:
+                worst_d = unit - (xs[k + 1] - xi)
+    return frac_to_unit_float(worst_d, freq.bits)
 
 
 @dataclass(frozen=True)
@@ -475,7 +474,7 @@ GOLDEN_CONJUGATE_STEP = 0.6180339887498949
 
 
 def orbit_sample(matrix: FrequencyMatrix, lattice: str, count: int,
-                 step: float | None = None) -> list[TorusPoint]:
+                 step: float | None = None) -> np.ndarray:
     """Deterministic sample of the matrix image on the torus.
 
     lattice="integer" walks integer vectors row-major over the smallest
@@ -484,10 +483,11 @@ def orbit_sample(matrix: FrequencyMatrix, lattice: str, count: int,
     conjugate, whose multiples equidistribute instead of collapsing onto
     a finite set the way a rational spacing would.
 
-    Each coordinate is the exact scaled dot product mod 1, rounded half
-    to even onto the 2**-53 grid. The cube is computed in numpy from the
-    entries' top 128 bits; coordinates that land near a rounding tie are
-    redone with Python integers.
+    Returns a C-contiguous (count, m) float64 array; row i is the image
+    of the i-th index vector. Each coordinate is the exact scaled dot
+    product mod 1, rounded half to even onto the 2**-53 grid in [0, 1).
+    The cube is computed in numpy from the entries' top 128 bits;
+    coordinates near a rounding tie are redone with Python integers.
     """
     if lattice not in ("integer", "real"):
         raise ValidationError(f"lattice must be 'integer' or 'real', got {lattice!r}")
@@ -523,17 +523,14 @@ def orbit_sample(matrix: FrequencyMatrix, lattice: str, count: int,
         index //= np.uint64(side)
     digits.reverse()
     unit = 1 << bits
-    coords = np.empty((matrix.m, count))
+    coords = np.empty((count, matrix.m))
     for j, row in enumerate(scaled_rows):
         # the 128-bit steps truncate toward -inf, so the dot product
         # underestimates the exact value by less than sum(x) < 2**32 units
         # of 2**-128, far inside the window hi64_to_unit_floats flags
         hi = fx.dot_hi64(0, [fx.step128(s, bits) for s in row], digits)
-        coords[j], unsure = fx.hi64_to_unit_floats(hi)
+        coords[:, j], unsure = fx.hi64_to_unit_floats(hi)
         for i in unsure.tolist():
             vec = [int(x[i]) for x in digits]
-            coords[j, i] = frac_to_unit_float(sum(s * v for s, v in zip(row, vec)) % unit, bits)
-    # every value is k / 2**53 with k < 2**53, so it lies in [0, 1) by
-    # construction and TorusPoint's per-coordinate check is skipped
-    points = zip(*(c.tolist() for c in coords))
-    return list(map(tuple.__new__, itertools.repeat(TorusPoint), points))
+            coords[i, j] = frac_to_unit_float(sum(s * v for s, v in zip(row, vec)) % unit, bits)
+    return coords

@@ -440,6 +440,20 @@ PINNED = [
         "points.csv": "63c5873b359840eb4ebd27ad9723f1d56c27e3083b4d232a44060bb44ff7743f",
         "stdout": "217a4e497c6d9585ae9f606ee9bb9a56b3ead9891e9c2b14f546859f4e6fd3b1",
     }),
+    ("orbit --matrix 1,0;0,sqrt(2) --lattice real --count 10000", {
+        "boxcounts.csv": "ef3bb0db68ed2e1efc0d69276932bdad74752695beda677f856a9aa42d496fb2",
+        "estimate.json": None,
+        "manifest.json": "9b8434644277271f3d301dc986d2e61e5de9f4631080cbdd4ec51f2afabe56a0",
+        "points.csv": "0d616ac3dbdae8e4cee84f60d64955115954a399277fea951c858f58329eaaa9",
+        "stdout": "31c259a9f18867220447c280c88dcc1aafe0480258f1bc12a2f01ac2478e501f",
+    }),
+    ("orbit --matrix sqrt(2)-1,pi-3,e-2;sqrt(3)-1,cbrt(2)-1,log(5)-1 --count 8000", {
+        "boxcounts.csv": "f50fac759533935435ef252b5123e8ef969197ef498e3940f2e002415856a32b",
+        "estimate.json": None,
+        "manifest.json": "d173a2467c9ba8be62d731f5e041d2e5e50fc3eed355d36e7c2e8288167f6ddb",
+        "points.csv": "b314dd6a401e8c3b20694f1320bd61c14f800f3b886186f0739ba799ecfc80c8",
+        "stdout": "85ebda6560aeeb84f364105d21cc63691fd79b8f43e8fb23d8aa9ae5ae1b65d6",
+    }),
     ("bounds --m 2", {
         "bounds.json": "603f5a8c5c513ff7d0c1f834053d1c4511c1febdcf935889db58c5ffb039b9f8",
         "manifest.json": "1c5d6b5bc3cd19b85bcbbbf483445a7e41b8edefc80fdb8e3f8c13832902bb75",

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from kronlab import (
     BoundUndefinedError,
     BoxCountCurve,
+    FrequencyMatrix,
     InsufficientDataError,
     TorusPoint,
     ValidationError,
@@ -15,6 +16,7 @@ from kronlab import (
     box_dimension_fit,
     diophantine_dimension_fit,
     holder_bound,
+    orbit_sample,
     theoretical_bounds,
 )
 
@@ -69,6 +71,10 @@ class TestBoxCount:
         assert curve.ambient_dim == 1
         assert curve.counts == (2,)
 
+    def test_accepts_flat_float_array(self):
+        flat = [0.1, 0.2, 0.9]
+        assert box_count(np.array(flat), [0.25]) == box_count(flat, [0.25])
+
     def test_duplicate_points_collapse(self):
         curve = box_count([(0.1, 0.1)] * 50, [0.25, 0.125])
         assert curve.points_used == 1
@@ -78,6 +84,12 @@ class TestBoxCount:
         pts = [(k / 64,) for k in range(64)]
         curve = box_count(pts, [0.125, 0.5, 0.125, 0.25])
         assert curve.scales == (0.5, 0.25, 0.125)
+
+    def test_near_dyadic_scales_snap_and_merge(self):
+        pts = orbit_sample(FrequencyMatrix.parse("1,0;0,sqrt(2)"), "integer", 4000)
+        curve = box_count(pts, [0.25, 0.25000000000000006, 0.125, 0.0625, 0.03125])
+        assert curve.scales == (0.25, 0.125, 0.0625, 0.03125)
+        assert box_dimension_fit(curve).slope_lower == 1.0
 
     def test_non_dyadic_rejected(self):
         with pytest.raises(ValueError):
@@ -131,8 +143,11 @@ class TestBoxCount:
     @settings(max_examples=150)
     def test_matches_per_scale_unique_loop(self, sample):
         pts, scales = sample
-        curve = box_count(pts, scales)
-        assert (curve.counts, curve.points_used) == box_count_reference(pts, scales)
+        want = box_count_reference(pts, scales)
+        # the rows as a list, a C-ordered array and a Fortran-ordered array
+        for rows in (pts, np.asarray(pts), np.asfortranarray(pts)):
+            curve = box_count(rows, scales)
+            assert (curve.counts, curve.points_used) == want
 
     coord = st.floats(min_value=0.0, max_value=0.999999, allow_nan=False)
 

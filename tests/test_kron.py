@@ -207,6 +207,16 @@ class TestPairResidual:
         want = max(torus_norm(frac_mult(freq, q)) for q in diffs)
         assert max_pair_residual(scan) == want
 
+    def test_worst_difference_beyond_q_max(self):
+        # a full-budget scan: the worst pair's difference lies past q_max
+        freq = FrequencyTuple.parse(["sqrt(2)-1"], q_max=1000)
+        scan = gap_scan(KroneckerInstance(freq, TorusPoint([0.0]), 0.05), -1000, 1000)
+        sols = scan.solutions.tolist()
+        wide = FrequencyTuple(freq.components)
+        want = max(torus_norm(frac_mult(wide, b - a)) for i, a in enumerate(sols)
+                   for b in sols[i + 1:])
+        assert max_pair_residual(scan) == want == 0.09999744910973762
+
 
 class TestWindowPolicy:
     def test_seed_scaling(self):
@@ -487,6 +497,13 @@ def exact_orbit(mat, lattice, count, step=None):
     return points
 
 
+def orbit_rows(pts, count, m):
+    """orbit_sample's result as point tuples, after checking its array layout."""
+    assert isinstance(pts, np.ndarray) and pts.shape == (count, m)
+    assert pts.dtype == np.float64 and pts.flags.c_contiguous
+    return [tuple(r) for r in pts.tolist()]
+
+
 ORBIT_MATRICES = ["pi-3", "sqrt(2)-1,pi-3;e-2,-sqrt(3)",
                   "golden-1,pi-3,-cbrt(2);e-2,sqrt(3)-1,0.5"]
 ORBIT_LATTICES = [("integer", None), ("real", None), ("real", 0.5), ("real", 1e-7),
@@ -500,8 +517,7 @@ class TestOrbitSample:
     @pytest.mark.parametrize("count", [125, 130])
     def test_matches_exact_fractions(self, text, bits, lattice, step, count):
         mat = FrequencyMatrix.parse(text, bits)
-        pts = orbit_sample(mat, lattice, count, step)
-        assert all(type(p) is TorusPoint for p in pts)
+        pts = orbit_rows(orbit_sample(mat, lattice, count, step), count, mat.m)
         assert pts == exact_orbit(mat, lattice, count, step)
 
     @pytest.mark.parametrize("lattice, step", [("integer", None), ("real", 0.5)])
@@ -520,7 +536,7 @@ class TestOrbitSample:
         e = [PrecisionReal.from_value(Fraction(v, 1 << bits), bits, "tie")
              for v in (tie - 1, tie, tie + 1, x + half, y + half + 1)]
         mat = FrequencyMatrix([[e[0], e[1]], [e[1], e[2]], [e[3], e[4]]])
-        pts = orbit_sample(mat, lattice, 100, step)
+        pts = orbit_rows(orbit_sample(mat, lattice, 100, step), 100, 3)
         assert pts == exact_orbit(mat, lattice, 100, step)
         if lattice == "integer":
             # the tie itself rounds to the even neighbour, above it up
@@ -535,20 +551,20 @@ class TestOrbitSample:
     def test_integer_lattice_rational_matrix(self):
         mat = FrequencyMatrix.parse("0.5,0;0,0.5")
         pts = orbit_sample(mat, "integer", 9)
-        assert len(pts) == 9
-        assert set(pts) <= {(0.0, 0.0), (0.0, 0.5), (0.5, 0.0), (0.5, 0.5)}
+        orbit_rows(pts, 9, 2)
+        assert np.unique(pts, axis=0).tolist() == [[0.0, 0.0], [0.0, 0.5], [0.5, 0.0], [0.5, 0.5]]
 
     def test_integer_lattice_row_major(self):
         mat = FrequencyMatrix.parse("0.25")
-        pts = orbit_sample(mat, "integer", 4)
+        pts = orbit_rows(orbit_sample(mat, "integer", 4), 4, 1)
         assert pts == [(0.0,), (0.25,), (0.5,), (0.75,)]
 
     def test_real_lattice_deterministic_and_distinct(self):
         mat = FrequencyMatrix.parse("1;sqrt(2)")
         a = orbit_sample(mat, "real", 64)
         b = orbit_sample(mat, "real", 64)
-        assert a == b
-        assert len(set(a)) == 64
+        assert orbit_rows(a, 64, 2) == orbit_rows(b, 64, 2)
+        assert len(np.unique(a, axis=0)) == 64
 
     def test_count_and_lattice_validation(self):
         mat = FrequencyMatrix.parse("pi-3")
