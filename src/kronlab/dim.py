@@ -55,13 +55,14 @@ class DimensionEstimate:
     excluded: tuple[tuple[float, float], ...] = ()
 
 
-def _check_dyadic(scale: float) -> float:
+def _check_dyadic(scale: float) -> int:
+    """The level j of a scale within 1e-12 of 2**-j in log2."""
     # the range test comes first: log2 refuses 0 and negatives, and NaN fails it
     if not (0 < scale <= 0.5 and abs((j := -math.log2(scale)) - round(j)) <= 1e-12):
         raise ValidationError(f"scale {scale} is not a dyadic fraction <= 1/2")
     if j > MAX_SCALE_BITS:
         raise ValidationError(f"scale {scale} is finer than 2**-{MAX_SCALE_BITS}")
-    return 2.0 ** -round(j)
+    return round(j)
 
 
 def _sorted_rows(words: np.ndarray) -> np.ndarray:
@@ -87,48 +88,48 @@ def _prefix_changes(flips: np.ndarray, nbits: int) -> int:
 def _morton_words(cells: np.ndarray, levels: int) -> np.ndarray:
     """Interleave the low `levels` bits of each row's cells, high bits first.
 
-    Level l (from the top) occupies key bits d*l .. d*l + d - 1, axis 0
-    first, so the top d*j bits of a key name the row's cell at scale
-    2**-j. The d*levels-bit key is stored big-endian in ceil(d*levels/64)
-    uint64 words, zero-padded at the bottom.
+    Key bit b (from the top) is bit levels - 1 - b // d of axis b % d, so
+    the top d*j bits of a key name the row's cell at scale 2**-j. The
+    d*levels-bit key is stored big-endian in ceil(d*levels/64) uint64
+    words, zero-padded at the bottom: key bit b is bit 63 - b % 64 of
+    word b // 64. Each cell bit is shifted straight into its place.
     """
     n, d = cells.shape
-    nbytes = -(-levels // 8)
-    low = cells.astype(">u8").view(np.uint8).reshape(n, d, 8)[:, :, 8 - nbytes:]
-    bits = np.unpackbits(low, axis=2)[:, :, 8 * nbytes - levels:]
-    packed = np.packbits(bits.transpose(0, 2, 1).reshape(n, d * levels), axis=1)
-    words = np.zeros((n, -(-d * levels // 64) * 8), dtype=np.uint8)
-    words[:, :packed.shape[1]] = packed
-    return words.view(">u8").astype(np.uint64)
+    words = np.zeros((n, -(-d * levels // 64)), dtype=np.uint64)
+    for b in range(d * levels):
+        src, dst = levels - 1 - b // d, 63 - b % 64
+        bit = cells[:, b % d] & np.uint64(1 << src)
+        words[:, b // 64] |= (bit << np.uint64(dst - src) if dst >= src
+                              else bit >> np.uint64(src - dst))
+    return words
 
 
 def box_count(points, scales) -> BoxCountCurve:
     """Count occupied grid cells of side eps for each dyadic eps.
 
     points is an (N, d) array-like, or 1-D for d = 1. A scale within
-    1e-12 of 2**-j in log2 is reported as exactly 2**-j.
+    1e-12 of 2**-j in log2 is reported as exactly 2**-j, coarsest first.
 
     Cells wrap nothing explicitly: coordinates must live in [0, 1) and
     the dyadic grid tiles the torus exactly, so cell index floor(x / eps)
     is both the Euclidean and the torus assignment.
 
     One sort serves every scale (Liebovitch & Toth 1989): each point's
-    finest cell is bit-interleaved into a Morton key (Morton 1966), the
-    cell at a coarser scale 2**-j is the key's top d*j bits, and sorted
-    keys stay sorted under truncation, so each count is 1 plus the
-    number of prefix changes between neighbours.
+    finest cell is bit-interleaved into a Morton key (Morton 1966) by
+    shifts, the cell at a coarser scale 2**-j is the key's top d*j bits,
+    and sorted keys stay sorted under truncation, so each count is 1
+    plus the number of prefix changes between neighbours.
     """
-    arr = np.asarray(points, dtype=float, order="C")  # _morton_words views rows as bytes
+    arr = np.asarray(points, dtype=float)
     arr = arr[:, None] if arr.ndim == 1 else arr
     if arr.size == 0:
         raise ValidationError("empty point set")
     if not ((arr >= 0.0) & (arr < 1.0)).all():
         raise ValidationError("box_count needs coordinates in [0, 1)")
-    eps_list = sorted({_check_dyadic(e) for e in scales}, reverse=True)
-    if not eps_list:
+    levels = sorted({_check_dyadic(e) for e in scales})
+    if not levels:
         raise ValidationError("no scales given")
     d = arr.shape[1]
-    levels = [round(-math.log2(eps)) for eps in eps_list]
     # x * 2**J is exact and below 2**J <= 2**63, so the cast is exact
     cells = np.floor(arr * float(1 << levels[-1])).astype(np.uint64)
     keys = _sorted_rows(_morton_words(cells, levels[-1]))
@@ -139,7 +140,7 @@ def box_count(points, scales) -> BoxCountCurve:
     patterns = _sorted_rows((arr + 0.0).view(np.uint64))
     distinct = 1 + _prefix_changes(patterns[1:] ^ patterns[:-1], 64 * d)
     return BoxCountCurve(
-        scales=tuple(eps_list),
+        scales=tuple(2.0 ** -j for j in levels),
         counts=tuple(counts),
         points_used=distinct,
         ambient_dim=d,

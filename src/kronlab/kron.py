@@ -119,9 +119,9 @@ def gap_scan(inst: KroneckerInstance, a: int, b: int) -> GapScan:
 class WindowPolicy:
     """How inclusion_length_ladder sizes and grows its scan windows.
 
-    The seed covers the expected gap scale eps^-m with a 50x margin;
-    doubling continues until the scan is untruncated or the budget is
-    reached.
+    The seed covers the expected gap scale eps^-m with a 50x margin and
+    is at least 1, so doubling can grow it; doubling continues until the
+    scan is untruncated or the budget is reached.
     """
 
     seed_min: int = 10_000
@@ -135,7 +135,7 @@ class WindowPolicy:
 
     def seed(self, epsilon: float, m: int) -> int:
         try:
-            return max(self.seed_min, math.ceil(self.seed_factor * (1.0 / epsilon) ** m))
+            return max(1, self.seed_min, math.ceil(self.seed_factor * (1.0 / epsilon) ** m))
         except OverflowError:  # a seed past every budget, which the ladder cuts to its budget
             return max(self.seed_min, self.budget)
 
@@ -471,6 +471,9 @@ def matrix_solution_scan(matrix: FrequencyMatrix, target: TorusPoint, epsilon: f
 
 
 GOLDEN_CONJUGATE_STEP = 0.6180339887498949
+# the largest orbit sample; a sample peaks near 70 bytes a point, so 10**7
+# points stay under 1 GB
+MAX_ORBIT_COUNT = 10_000_000
 
 
 def orbit_sample(matrix: FrequencyMatrix, lattice: str, count: int,
@@ -488,6 +491,7 @@ def orbit_sample(matrix: FrequencyMatrix, lattice: str, count: int,
     product mod 1, rounded half to even onto the 2**-53 grid in [0, 1).
     The cube is computed in numpy from the entries' top 128 bits;
     coordinates near a rounding tie are redone with Python integers.
+    A count above MAX_ORBIT_COUNT is refused before anything is allocated.
     """
     if lattice not in ("integer", "real"):
         raise ValidationError(f"lattice must be 'integer' or 'real', got {lattice!r}")
@@ -514,6 +518,8 @@ def orbit_sample(matrix: FrequencyMatrix, lattice: str, count: int,
     if n * side >= 1 << 32:
         # the limb sums of fx.dot_hi64 are exact only below this
         raise ValidationError(f"count {count} needs n * side < 2**32 (n={n}, side={side})")
+    if count > MAX_ORBIT_COUNT:
+        raise ValidationError(f"count {count} exceeds the sample cap {MAX_ORBIT_COUNT}")
     # digits of index = 0, 1, ... in base side, first coordinate most
     # significant: the row-major walk of the cube [0, side)**n
     index = np.arange(count, dtype=np.uint64)

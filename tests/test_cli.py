@@ -2,11 +2,15 @@
 import csv
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import kronlab
 from kronlab import (FrequencyTuple, KroneckerInstance, TorusPoint, ValidationError,
                      WindowPolicy, cli)
 from kronlab.cli import main
@@ -84,6 +88,21 @@ class TestScan:
         rows = read_rows(tmp_path / "ladder.csv")
         assert rows[0]["truncated"] == "1"
         assert rows[0]["l_hat"] == "0"
+
+    def test_zero_seed_finishes(self, tmp_path):
+        # in a subprocess with a timeout, so a ladder that never stops fails
+        env = {**os.environ, "PYTHONPATH": str(Path(kronlab.__file__).parents[1])}
+        proc = subprocess.run(
+            [sys.executable, "-m", "kronlab.cli", "scan", "--freq", "golden-1", "--eps", "0.1",
+             "--seed-min", "0", "--seed-factor", "0", "--out", str(tmp_path / "zero")],
+            capture_output=True, text=True, timeout=60, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "eps=0.1: l_hat=5 on (0, 8) (clean)\n"
+        r = run("scan", "--freq", "golden-1", "--eps", "0.1", "--seed-min", 1,
+                "--seed-factor", 0, "--out", tmp_path / "one")
+        assert r.exit_code == 0, r.output
+        assert ((tmp_path / "zero" / "ladder.csv").read_bytes()
+                == (tmp_path / "one" / "ladder.csv").read_bytes())
 
     def test_epsilon_validation_exit(self, tmp_path):
         assert run("scan", "--freq", "golden-1", "--eps", "0.6",
@@ -196,6 +215,13 @@ class TestOrbit:
     def test_single_point_exit(self, tmp_path):
         r = run("orbit", "--matrix", "sqrt(2)", "--count", 1, "--out", tmp_path)
         assert r.exit_code == 5
+
+    def test_count_beyond_sample_cap_exits_2(self, tmp_path):
+        r = run("orbit", "--matrix", "1,0;0,sqrt(2)", "--count", 10_000_001,
+                "--out", tmp_path / "out")
+        assert r.exit_code == 2, r.output
+        assert "sample cap" in r.output
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("scale", ["0", "-0.25", "1e-400"])
     def test_nonpositive_scale_exits_2(self, tmp_path, scale):

@@ -19,6 +19,7 @@ from kronlab import (
     orbit_sample,
     theoretical_bounds,
 )
+from kronlab.dim import _morton_words
 
 DYADIC = [0.25, 0.125, 0.0625, 0.03125]
 
@@ -148,6 +149,25 @@ class TestBoxCount:
         for rows in (pts, np.asarray(pts), np.asfortranarray(pts)):
             curve = box_count(rows, scales)
             assert (curve.counts, curve.points_used) == want
+
+    # d * levels = 1, 63, 64, 65, 66, 128, 129, 189 and 189 key bits
+    @pytest.mark.parametrize("d,levels", [(1, 1), (1, 63), (2, 32), (5, 13), (2, 33),
+                                          (3, 22), (4, 32), (3, 43), (3, 63)])
+    def test_morton_words_match_int_interleave(self, d, levels):
+        rng = np.random.default_rng(d * 100 + levels)
+        cells = rng.integers(0, 1 << levels, size=(40, d), dtype=np.uint64)
+        cells[0], cells[1] = 0, (1 << levels) - 1
+        nwords = -(-d * levels // 64)
+        want = []
+        for row in cells.tolist():
+            key = 0
+            for b in range(d * levels):  # key bit b is level b // d of axis b % d
+                key = key << 1 | (row[b % d] >> (levels - 1 - b // d)) & 1
+            key <<= 64 * nwords - d * levels
+            want.append([key >> 64 * (nwords - 1 - w) & (1 << 64) - 1 for w in range(nwords)])
+        words = _morton_words(cells, levels)
+        assert words.dtype == np.uint64
+        assert words.tolist() == want
 
     coord = st.floats(min_value=0.0, max_value=0.999999, allow_nan=False)
 

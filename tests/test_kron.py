@@ -257,6 +257,15 @@ class TestInclusionLadder:
         with pytest.raises(ValueError):
             inclusion_length_ladder(golden_freq, t, [0.05, 0.1])
 
+    def test_zero_seed_still_doubles(self, golden_freq):
+        zero = WindowPolicy(seed_min=0, seed_factor=0.0)
+        assert zero.seed(0.1, 1) == 1
+        rows = inclusion_length_ladder(golden_freq, TorusPoint([0.0]), [0.1], zero)
+        ones = inclusion_length_ladder(golden_freq, TorusPoint([0.0]), [0.1],
+                                       WindowPolicy(seed_min=1, seed_factor=0.0))
+        assert [(r.l_hat, r.window, r.truncated) for r in rows] == \
+            [(r.l_hat, r.window, r.truncated) for r in ones] == [(5, (0, 8), False)]
+
     def test_budget_capped_row_survives(self, golden_freq):
         policy = WindowPolicy(seed_min=50, budget=50)
         rows = inclusion_length_ladder(
@@ -547,6 +556,11 @@ class TestOrbitSample:
         mat = FrequencyMatrix.parse("pi-3")
         with pytest.raises(ValueError, match="2\\*\\*32"):
             orbit_sample(mat, "real", 1 << 32)
+
+    def test_count_beyond_sample_cap_rejected(self):
+        mat = FrequencyMatrix.parse("1,0;0,sqrt(2)")
+        with pytest.raises(ValidationError, match="sample cap"):
+            orbit_sample(mat, "integer", 10 ** 7 + 1)
 
     def test_integer_lattice_rational_matrix(self):
         mat = FrequencyMatrix.parse("0.5,0;0,0.5")
