@@ -16,6 +16,7 @@ distance is within _SLACK units of 2**-64 of the exact one.
 """
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -77,32 +78,61 @@ def step128(scaled: int, bits: int) -> int:
     return (scaled >> (bits - KERNEL_BITS)) % _MOD
 
 
-def dot_hi64(anchor: int, steps: list[int], digits: list[np.ndarray]) -> np.ndarray:
+def _chunk_anchors(scaled: list[int], offsets: list[int], start: int, bits: int) -> list[int]:
+    """Top 128 bits of (scaled*start - offset) mod 2**bits, per coordinate:
+    the anchors of a chunk at start."""
+    return [step128(s * start - t, bits) for s, t in zip(scaled, offsets)]
+
+
+def _anchor_limbs(anchors: list[int]) -> np.ndarray:
+    """Many anchors in [0, 2**128) as dot_hi64 takes them: a (3, len) uint64
+    array of the limbs v0, v1 and V of each, named as in dot_hi64."""
+    words = np.frombuffer(b"".join(v.to_bytes(16, "little") for v in anchors), "<u8")
+    low, high = words[0::2].astype(np.uint64), words[1::2].astype(np.uint64)
+    return np.stack((low & np.uint64(0xFFFFFFFF), low >> _SHIFT32, high))
+
+
+def _limbs(v: int) -> list[np.uint64]:
+    return [np.uint64(v & 0xFFFFFFFF), np.uint64((v >> 32) & 0xFFFFFFFF), np.uint64(v >> 64)]
+
+
+def dot_hi64(anchor, steps: list[int], digits: list[np.ndarray]) -> np.ndarray:
     """Top 64 bits of (anchor + sum(t * x)) mod 2**128, elementwise.
 
     anchor and the steps t lie in [0, 2**128); the digits x are uint64 arrays,
-    one per step. Classical multiprecision multiplication (Knuth, TAOCP
+    one per step. anchor is one int, or many anchors given by their limbs,
+    _anchor_limbs(ints), sliced so that each limb broadcasts against the
+    digits: a (3, G, 1) slice gives one anchor per row of a (G, n) result,
+    a (3, n) slice one per element of n digits.
+    Classical multiprecision multiplication (Knuth, TAOCP
     Vol. 2, 4.3.1, Algorithm M) in one uint64 accumulator, on the limbs
     v = v0 + v1 * 2**32 + V * 2**64 of the anchor a and of each t: limb 0
     sums a0 + sum(t0 * x), limb 1 adds a1 + sum(t1 * x) to its carry out,
     and as the low 64 bits reach the top 64 only through limb 1's carry out,
     that carry plus A + sum(T * x), wrapped mod 2**64, is the answer.
-    Exact while S < 2**32, S the largest per-element sum(x): a carry in of
+    Exact while S < 2**32, S the largest per-element sum(x), for one anchor
+    or many alike: a carry in of
     at most S gives a limb sum of at most (2**32 - 1) * (S + 1) + S =
     (S + 1) * 2**32 - 1 < 2**64, whose carry out is at most S again; the
     carry into limb 0 is 0.
     """
-    a, *limbs = [[np.uint64(v & 0xFFFFFFFF), np.uint64((v >> 32) & 0xFFFFFFFF), np.uint64(v >> 64)]
-                 for v in (anchor, *steps)]
+    many = isinstance(anchor, np.ndarray)
+    a = anchor if many else _limbs(anchor)
+    limbs = [_limbs(t) for t in steps]
     # prod first: freed below acc on return, it is reused, not trimmed off
     # the heap top and faulted in again next call (scan-ladder ops took 1.7x
     # the page faults the other way round, on a 2-core x86 VM)
     prod = np.empty_like(digits[0])
-    acc = np.multiply(digits[0], limbs[0][0])
+    if many:
+        # adding limb 0 widens acc to the anchors' broadcast shape
+        acc = np.add(a[0], np.multiply(digits[0], limbs[0][0], out=prod))
+    else:
+        acc = np.multiply(digits[0], limbs[0][0])
+        acc += a[0]
     for k in range(3):
         if k:
             acc >>= _SHIFT32
-        acc += a[k]
+            acc += a[k]
         for j, (x, t) in enumerate(zip(digits, limbs)):
             if k or j:
                 acc += np.multiply(x, t[k], out=prod)
@@ -133,6 +163,13 @@ def _spans(lo: int, hi: int):
         yield start, min(CHUNK, hi - start + 1)
 
 
+def _coord_dists(step: int, anchor, idx: np.ndarray) -> np.ndarray:
+    """Torus distances of one coordinate, in units of 2**-64, as dot_hi64
+    gives them; anchor is one int or many, as dot_hi64 takes it."""
+    hi = dot_hi64(anchor, [step], [idx])
+    return np.minimum(hi, np.uint64(0) - hi, out=hi)
+
+
 class ResidualKernel:
     """Vectorized sup-norm torus residuals of q*omega - theta.
 
@@ -155,17 +192,14 @@ class ResidualKernel:
         self.steps = [step128(s, bits) for s in self.scaled]
 
     def _anchors(self, start: int) -> list[int]:
-        """Top 128 bits of (scaled*start - offset) mod 2**bits, per coordinate."""
-        return [step128(s * start - t, self.bits) for s, t in zip(self.scaled, self.offsets)]
+        return _chunk_anchors(self.scaled, self.offsets, start, self.bits)
 
     def _exact(self, q: int) -> int:
         """The exact residual of q, in units of 2**-bits."""
         vs = [(s * q - t) % self.unit for s, t in zip(self.scaled, self.offsets)]
         return max(min(v, self.unit - v) for v in vs)
 
-    def _coord_dists(self, step: int, anchor: int, idx: np.ndarray) -> np.ndarray:
-        hi = dot_hi64(anchor, [step], [idx])
-        return np.minimum(hi, np.uint64(0) - hi, out=hi)
+    _coord_dists = staticmethod(_coord_dists)
 
     def _max_dists(self, start: int, idx: np.ndarray) -> np.ndarray:
         out = None
@@ -212,6 +246,45 @@ def solutions_in(kernel: ResidualKernel, lo: int, hi: int, eps_u64: int) -> np.n
 
 def first_solution(kernel: ResidualKernel, lo: int, hi: int, eps_u64: int) -> int | None:
     return next((start + int(pos[0]) for start, pos in _hits(kernel, lo, hi, eps_u64)), None)
+
+
+def lockstep_solutions(scaled: list[int], tagged_offsets, lo: int, hi: int, eps_u64: int,
+                       bits: int = KERNEL_BITS):
+    """Yield (tag, q) for each (tag, offsets) pair, in the pairs' order, and
+    each q in [lo, hi] with residual <= eps, ascending: the q that
+    solutions_in(ResidualKernel(scaled, offsets, bits), lo, hi, eps_u64)
+    returns, for every pair at once.
+
+    The pairs are read lazily, G = max(1, CHUNK // (hi - lo + 1)) at a
+    time, so memory is bounded by one block: G pairs, and at most CHUNK
+    distances at once. When G > 1 the window is a single span. At each span
+    start the block takes one anchor per pair and coordinate, the kernel's
+    own. Coordinate 0 runs on the whole (G, n) block, and each further
+    coordinate only on the (pair, q) still within eps. A q passes every
+    coordinate exactly when its maximum passes, so the same uint64
+    distances accept the same q as the kernel's residuals.
+    """
+    unit = 1 << bits
+    scaled = [int(s) % unit for s in scaled]
+    steps = [step128(s, bits) for s in scaled]
+    thr = np.uint64(eps_u64)
+    pairs = iter(tagged_offsets)
+    group = max(1, CHUNK // (hi - lo + 1))
+    while block := list(itertools.islice(pairs, group)):
+        offsets = [[int(t) % unit for t in offs] for _, offs in block]
+        for start, n in _spans(lo, hi):
+            anchors = _anchor_limbs([a for offs in offsets
+                                     for a in _chunk_anchors(scaled, offs, start, bits)])
+            anchors = anchors.reshape(3, len(block), len(scaled))
+            d = _coord_dists(steps[0], anchors[:, :, 0, None], np.arange(n, dtype=np.uint64))
+            # flat indices ascend in (pair, q) order; 2-D nonzero took 4x as long
+            rows, pos = np.divmod(np.flatnonzero(d <= thr), n)
+            for c in range(1, len(scaled)):
+                d = _coord_dists(steps[c], anchors[:, rows, c], pos.view(np.uint64))
+                keep = np.flatnonzero(d <= thr)
+                rows, pos = rows[keep], pos[keep]
+            for i, x in zip(rows.tolist(), pos.tolist()):
+                yield block[i][0], start + x
 
 
 def record_lows(kernel: ResidualKernel, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:

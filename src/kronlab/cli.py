@@ -434,8 +434,9 @@ def _run_almost_period(freq: str, beta: float, k: int, k0: int, targets: str,
                        nu: float, precision: int, out: str, fmt: str):
     """Greedy almost periods for each target, with quality constants."""
     frequency = _parse_frequency(freq, precision)
+    sample_targets = _parse_floats(targets)
     seq = convergent_sequence(frequency, beta, k)
-    record = almost_period_quality(seq, k0, _parse_floats(targets), nu)
+    record = almost_period_quality(seq, k0, sample_targets, nu)
     files = {
         "periods.csv": (["target", "tau", "residual", "reeval_residual"],
                         [(e.target, e.tau, e.residual, e.reeval_residual)

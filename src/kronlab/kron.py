@@ -307,6 +307,9 @@ class QualityRecord:
 def almost_period_quality(seq: ConvergentSequence, k0: int, sample_targets,
                           nu: float = 0.0) -> QualityRecord:
     _check_k0(seq, k0)
+    sample_targets = list(sample_targets)
+    if not sample_targets:
+        raise ValidationError("no sample targets; the quality record needs at least one")
     if not math.isfinite(nu):
         raise ValidationError(f"nu must be a finite number, got {nu}")
     m = len(seq.frequency)
@@ -336,7 +339,7 @@ def almost_period_quality(seq: ConvergentSequence, k0: int, sample_targets,
             residual=ap.residual, reeval_residual=reeval,
         ))
         worst_gap = max(worst_gap, abs(ap.residual - reeval))
-    max_residual = max(e.residual for e in entries) if entries else 0.0
+    max_residual = max(e.residual for e in entries)
     q_floor = seq.denominators[k0 - 1]
     c2_hat = max_residual * q_floor ** eta / k0
     return QualityRecord(
@@ -436,8 +439,12 @@ def matrix_solution_scan(matrix: FrequencyMatrix, target: TorusPoint, epsilon: f
     """All integer vectors q in the box with |matrix*q - target| <= epsilon.
 
     The box is one (lo, hi) pair per column. Output is sorted
-    lexicographically. Work scales with the box volume; the last axis is
-    vectorized through the kernel, the others are enumerated.
+    lexicographically. Work scales with the box volume. Each prefix (the
+    coordinates on all axes but the last) folds into the rows' targets,
+    and fx.lockstep_solutions scans the last axis for blocks of about
+    CHUNK // width prefixes at once: row 0 on the whole block, each further
+    row only on the vectors that passed the rows before it. Prefixes are
+    read lazily, so memory is bounded by one block, not by the box.
     """
     _check_epsilon(epsilon)
     if len(target) != matrix.m:
@@ -458,16 +465,16 @@ def matrix_solution_scan(matrix: FrequencyMatrix, target: TorusPoint, epsilon: f
     last = [row[-1].scaled for row in matrix.rows]
     theta = [fx.to_scaled(x, matrix.bits) for x in target]
     eps_u64 = fx.eps_to_u64(epsilon)
-    out: list[tuple[int, ...]] = []
-    prefix_axes = [range(lo, hi + 1) for lo, hi in box[:-1]]
-    for prefix in itertools.product(*prefix_axes):
+
+    def folded(prefix):
         # the prefix columns fold exactly into each row's target
-        offsets = [t - sum(c.scaled * p for c, p in zip(row, prefix))
-                   for row, t in zip(matrix.rows, theta)]
-        kernel = fx.ResidualKernel(last, offsets, matrix.bits)
-        hits = fx.solutions_in(kernel, last_lo, last_hi, eps_u64)
-        out.extend(prefix + (int(q),) for q in hits)
-    return out
+        return prefix, [t - sum(c.scaled * p for c, p in zip(row, prefix))
+                        for row, t in zip(matrix.rows, theta)]
+
+    prefixes = itertools.product(*(range(lo, hi + 1) for lo, hi in box[:-1]))
+    hits = fx.lockstep_solutions(last, map(folded, prefixes), last_lo, last_hi, eps_u64,
+                                 matrix.bits)
+    return [prefix + (q,) for prefix, q in hits]
 
 
 GOLDEN_CONJUGATE_STEP = 0.6180339887498949

@@ -265,6 +265,15 @@ class TestAlmostPeriod:
         rows = read_rows(tmp_path / "periods.csv")
         assert [row["tau"] for row in rows] == ["97", "500", "1000"]
 
+    @pytest.mark.parametrize("targets", [",", " , ", ""])
+    def test_empty_targets_exit_2_without_output(self, tmp_path, targets):
+        out = tmp_path / "out"
+        r = run("almost-period", "--freq", "sqrt(2)-1", "--k", 20, "--k0", 3,
+                "--targets", targets, "--out", out)
+        assert r.exit_code == 2, r.output
+        assert "target" in r.output
+        assert not out.exists()
+
     def test_rational_frequency_exit(self, tmp_path):
         r = run("almost-period", "--freq", "1/3", "--targets", "10",
                 "--out", tmp_path)

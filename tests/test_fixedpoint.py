@@ -100,6 +100,40 @@ def test_dot_hi64_matches_bigint_reference():
         assert got.tolist() == want
 
 
+def test_dot_hi64_many_anchors_match_one_anchor():
+    rng = random.Random("dot_hi64 many anchors")
+    anchors = [0, 1, (1 << 32) - 1, U64 - 1, U64, MOD - U64, MOD - 2, MOD - 1]
+    anchors += [rng.randrange(MOD) for _ in range(8)]
+    steps = [MOD - 1, MOD - 2, MOD - U64 + 1, 1 << 127, rng.randrange(MOD)]
+    top = fx.CHUNK - 1
+    digits = np.array([0, 1, 2, top - 1, top] + [rng.randrange(fx.CHUNK) for _ in range(11)],
+                      dtype=np.uint64)
+    limbs = fx._anchor_limbs(anchors)
+    assert limbs.shape == (3, len(anchors)) and limbs.dtype == np.uint64
+
+    def want(a, ts, xs):
+        return ((a + sum(t * x for t, x in zip(ts, xs))) % MOD) >> 64
+
+    for t in steps:
+        # one anchor per row of a (G, n) block
+        block = fx.dot_hi64(limbs[:, :, None], [t], [digits])
+        assert block.shape == (len(anchors), len(digits))
+        for a, row in zip(anchors, block.tolist()):
+            assert row == fx.dot_hi64(a, [t], [digits]).tolist()
+            assert row == [want(a, [t], [x]) for x in digits.tolist()]
+        # one anchor per element
+        got = fx.dot_hi64(limbs, [t], [digits])
+        for a, x, g in zip(anchors, digits.tolist(), got.tolist()):
+            assert g == fx.dot_hi64(a, [t], [np.array([x], dtype=np.uint64)])[0]
+            assert g == want(a, [t], [x])
+    # several steps: the per-element digit sums stay below 2**32
+    two = [digits, digits[::-1].copy()]
+    got = fx.dot_hi64(limbs[:, :, None], steps[:2], two)
+    for a, row in zip(anchors, got.tolist()):
+        assert row == fx.dot_hi64(a, steps[:2], two).tolist()
+        assert row == [want(a, steps[:2], xs) for xs in zip(*(d.tolist() for d in two))]
+
+
 @given(st.lists(kernel_ints, min_size=1, max_size=3),
        st.lists(kernel_ints, min_size=3, max_size=3),
        st.integers(min_value=0, max_value=1 << 40),

@@ -1,4 +1,5 @@
 """Gap scans, inclusion ladders, greedy periods, and matrix systems."""
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import kronlab
+from kronlab import _fixedpoint as fx
 from kronlab._fixedpoint import to_scaled
 from kronlab import (
     BudgetExceededError,
@@ -369,6 +371,12 @@ class TestAlmostPeriodQuality:
         with pytest.raises(ValueError):
             almost_period_quality(seq, 1, [100], nu=1.1)
 
+    @pytest.mark.parametrize("targets", [[], (), iter([])])
+    def test_empty_targets_rejected(self, golden_seq20, targets):
+        # no targets would report a worst residual of 0 and call it consistent
+        with pytest.raises(ValidationError):
+            almost_period_quality(golden_seq20, 3, targets)
+
     @pytest.mark.parametrize("nu", [math.nan, math.inf, -math.inf])
     def test_non_finite_nu_rejected(self, golden_seq20, nu):
         with pytest.raises(ValidationError):
@@ -672,6 +680,133 @@ def test_matrix_scan_last_axis_matches_exact_residuals(data, width):
     for q in range(lo, hi + 1):
         d = exact_dist(rows, offsets, mat.bits, [prefix, q])
         assert d <= never if q in found else d >= must
+
+
+# small enough that the lockstep tests run many blocks and spans cheaply
+LOCK_CHUNK = 64
+# G = LOCK_CHUNK // width is 64, 12, then 1; the last three widths need
+# one, one and three spans
+LOCK_WIDTHS = [1, 5, LOCK_CHUNK - 1, LOCK_CHUNK, LOCK_CHUNK + 1, 2 * LOCK_CHUNK + 17]
+# one column (no prefix axes), one row (no rows after row 0), two rows at
+# 96 bits (step128's other branch) and three rows; the last columns differ
+LOCK_MATRICES = [
+    FrequencyMatrix.parse("sqrt(2)-1"),
+    FrequencyMatrix.parse("sqrt(2)-1,pi-3,e-2"),
+    FrequencyMatrix.parse("sqrt(2)-1,pi-3;e-2,sqrt(3)-1", bits=96),
+    FrequencyMatrix.parse("sqrt(2)-1,pi-3,e-2;cbrt(2)-1,sqrt(3)-1,log(5)-1;"
+                          "zeta(3)-1,cbrt(3)-1,cbrt(2)-1"),
+]
+# 67 and 5 * 14 prefixes: neither divides by 64 or 12, so last blocks are partial
+LOCK_PREFIX_SIZES = {1: [], 2: [67], 3: [5, 14]}
+LOCK_TARGET = TorusPoint([0.3, 0.7, 0.1])
+
+
+def lock_box(mat, prefix_lo: int, last_lo: int, width: int) -> list[tuple[int, int]]:
+    axes = [(prefix_lo + i, prefix_lo + i + size - 1)
+            for i, size in enumerate(LOCK_PREFIX_SIZES[mat.n])]
+    return axes + [(last_lo, last_lo + width - 1)]
+
+
+def per_prefix_solutions(mat, target, eps, box):
+    """One kernel and one solutions_in call per prefix, in product order."""
+    last = [row[-1].scaled for row in mat.rows]
+    theta = [to_scaled(x, mat.bits) for x in target]
+    eps_u64 = fx.eps_to_u64(eps)
+    lo, hi = box[-1]
+    want = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fx, "CHUNK", LOCK_CHUNK)
+        for prefix in itertools.product(*(range(a, b + 1) for a, b in box[:-1])):
+            offsets = [t - sum(c.scaled * p for c, p in zip(row, prefix))
+                       for row, t in zip(mat.rows, theta)]
+            kernel = fx.ResidualKernel(last, offsets, mat.bits)
+            want += [prefix + (q,) for q in fx.solutions_in(kernel, lo, hi, eps_u64).tolist()]
+    return want
+
+
+def lockstep_scan(mat, target, eps, box):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fx, "CHUNK", LOCK_CHUNK)
+        got = matrix_solution_scan(mat, target, eps, box)
+    assert all(type(x) is int for vec in got for x in vec)
+    return got
+
+
+@pytest.mark.parametrize("width", LOCK_WIDTHS)
+@pytest.mark.parametrize("mat", LOCK_MATRICES, ids=lambda mat: f"m{mat.m}n{mat.n}b{mat.bits}")
+def test_lockstep_scan_matches_per_prefix_kernels(mat, width):
+    target = TorusPoint(LOCK_TARGET[:mat.m])
+    box = lock_box(mat, -40, -width // 2 - 3, width)  # both sides of 0
+    volume = math.prod(hi - lo + 1 for lo, hi in box)
+    for eps, hits in ((0.5, volume), (1e-12, 0), (0.2, None)):
+        got = lockstep_scan(mat, target, eps, box)
+        assert got == per_prefix_solutions(mat, target, eps, box)
+        assert hits is None or len(got) == hits
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data(), st.sampled_from(LOCK_MATRICES), st.sampled_from(LOCK_WIDTHS),
+       st.sampled_from([0.5, 0.2, 1e-12]))
+def test_lockstep_scan_matches_per_prefix_kernels_deep(data, mat, width, eps):
+    target = TorusPoint(LOCK_TARGET[:mat.m])
+    prefix_lo = data.draw(deep_starts(mat.q_max, 14))
+    box = lock_box(mat, prefix_lo, data.draw(deep_starts(mat.q_max, width)), width)
+    assert lockstep_scan(mat, target, eps, box) == per_prefix_solutions(mat, target, eps, box)
+
+
+@pytest.mark.parametrize("width", [5, 2 * LOCK_CHUNK + 17])
+def test_lockstep_rows_after_the_first_run_on_survivors(width):
+    mat = LOCK_MATRICES[-1]
+    eps = 0.3
+    box = lock_box(mat, -3, -20, width)
+    lo, hi = box[-1]
+    thr = fx.eps_to_u64(eps)
+    theta = [to_scaled(x, mat.bits) for x in LOCK_TARGET]
+    steps = [fx.step128(row[-1].scaled, mat.bits) for row in mat.rows]
+    # reached[r]: the (prefix, q) within eps on every row before r, from
+    # Python-int distances of the same anchors and steps
+    reached = [0] * mat.m
+    want = []
+    for prefix in itertools.product(*(range(a, b + 1) for a, b in box[:-1])):
+        for q in range(lo, hi + 1):
+            start = lo + (q - lo) // LOCK_CHUNK * LOCK_CHUNK
+            for r, (row, t, step) in enumerate(zip(mat.rows, theta, steps)):
+                reached[r] += 1
+                offset = t - sum(c.scaled * p for c, p in zip(row, prefix))
+                anchor = fx.step128(row[-1].scaled * start - offset, mat.bits)
+                top = ((anchor + step * (q - start)) % (1 << 128)) >> 64
+                if min(top, (1 << 64) - top) > thr:
+                    break
+            else:
+                want.append(prefix + (q,))
+    sizes = {step: 0 for step in steps}
+    row0 = []
+    dot_hi64 = fx.dot_hi64
+
+    def counting(anchor, row_steps, digits):
+        out = dot_hi64(anchor, row_steps, digits)
+        sizes[row_steps[0]] += out.size
+        if row_steps[0] == steps[0]:
+            row0.append(out.size)
+        return out
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fx, "dot_hi64", counting)
+        assert lockstep_scan(mat, LOCK_TARGET, eps, box) == want
+    assert reached[0] == math.prod(b - a + 1 for a, b in box)
+    assert 0 < reached[2] < reached[1] < reached[0]
+    assert [sizes[step] for step in steps] == reached
+    # a block of row 0 holds at most CHUNK vectors
+    assert 0 < max(row0) <= LOCK_CHUNK
+
+
+def test_lockstep_keeps_distances_equal_to_eps():
+    # entries of 1/2 and 1/4 put every distance at exactly 0, 1/4 or 1/2,
+    # so at eps = 1/2 some vectors sit on the threshold of each row
+    mat = FrequencyMatrix.parse("1/2,1/2;1/4,1/2")
+    box = [(-3, 70), (-5, 6)]
+    got = lockstep_scan(mat, TorusPoint([0.0, 0.0]), 0.5, box)
+    assert got == list(itertools.product(range(-3, 71), range(-5, 7)))
 
 
 def test_solution_dtype_follows_the_window():
