@@ -104,11 +104,45 @@ def _morton_words(cells: np.ndarray, levels: int) -> np.ndarray:
     return words
 
 
+def _distinct_rows(arr: np.ndarray) -> int:
+    """The number of distinct rows of an (N, d) float array in [0, 1).
+
+    Each row gets one uint64 key: its cells floor(x * 2**b) at
+    b = floor(64 / d) bits per axis, concatenated with column 0 on top.
+    The key is a function of the row, and exactly so: x * 2**b is exact,
+    since scaling by a power of two is, and its floor is below
+    2**b <= 2**64, so the cast to uint64 is exact too; -0.0 and 0.0,
+    equal as points, both give cell 0. So equal rows have equal keys, and
+    if no two sorted keys are equal the N rows are distinct. Otherwise
+    the keys are freed and the rows counted exactly, by a sort of their
+    float bit patterns. For d > 64, b = 0 and every key is 0, so that
+    exact count always runs.
+    """
+    n, d = arr.shape
+    b = 64 // d
+    scale = float(1 << b)
+    # the cast truncates, which is the floor on [0, 1); starting from
+    # column 0 never shifts a nonzero key by 64 when d = 1
+    keys = (arr[:, 0] * scale).astype(np.uint64)
+    for k in range(1, d):
+        keys <<= np.uint64(b)
+        keys |= (arr[:, k] * scale).astype(np.uint64)
+    keys.sort()
+    if not (keys[1:] == keys[:-1]).any():
+        return n
+    del keys
+    # + 0.0 maps -0.0 onto 0.0, which compares equal to it but has
+    # another bit pattern
+    patterns = _sorted_rows((arr + 0.0).view(np.uint64))
+    return 1 + _prefix_changes(patterns[1:] ^ patterns[:-1], 64 * d)
+
+
 def box_count(points, scales) -> BoxCountCurve:
     """Count occupied grid cells of side eps for each dyadic eps.
 
-    points is an (N, d) array-like, or 1-D for d = 1. A scale within
-    1e-12 of 2**-j in log2 is reported as exactly 2**-j, coarsest first.
+    points is an (N, d) array-like, or 1-D for d = 1; any other shape,
+    ragged rows included, is refused. A scale within 1e-12 of 2**-j in
+    log2 is reported as exactly 2**-j, coarsest first.
 
     Cells wrap nothing explicitly: coordinates must live in [0, 1) and
     the dyadic grid tiles the torus exactly, so cell index floor(x / eps)
@@ -118,9 +152,16 @@ def box_count(points, scales) -> BoxCountCurve:
     finest cell is bit-interleaved into a Morton key (Morton 1966) by
     shifts, the cell at a coarser scale 2**-j is the key's top d*j bits,
     and sorted keys stay sorted under truncation, so each count is 1
-    plus the number of prefix changes between neighbours.
+    plus the number of prefix changes between neighbours. points_used is
+    the exact number of distinct points (_distinct_rows).
     """
-    arr = np.asarray(points, dtype=float)
+    # ragged rows, and entries that are not numbers, fail the conversion
+    try:
+        arr = np.asarray(points, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"points are not an (N, d) array of numbers: {exc}") from None
+    if arr.ndim not in (1, 2):
+        raise ValidationError(f"points must be 1-D or 2-D, got {arr.ndim}-D")
     arr = arr[:, None] if arr.ndim == 1 else arr
     if arr.size == 0:
         raise ValidationError("empty point set")
@@ -135,14 +176,10 @@ def box_count(points, scales) -> BoxCountCurve:
     keys = _sorted_rows(_morton_words(cells, levels[-1]))
     flips = keys[1:] ^ keys[:-1]
     counts = [1 + _prefix_changes(flips, d * j) for j in levels]
-    # distinct points by their float bit patterns; + 0.0 maps -0.0 onto
-    # 0.0, which compares equal to it but has another pattern
-    patterns = _sorted_rows((arr + 0.0).view(np.uint64))
-    distinct = 1 + _prefix_changes(patterns[1:] ^ patterns[:-1], 64 * d)
     return BoxCountCurve(
         scales=tuple(2.0 ** -j for j in levels),
         counts=tuple(counts),
-        points_used=distinct,
+        points_used=_distinct_rows(arr),
         ambient_dim=d,
     )
 

@@ -19,6 +19,7 @@ from kronlab import (
     orbit_sample,
     theoretical_bounds,
 )
+from kronlab import dim
 from kronlab.dim import _morton_words
 
 DYADIC = [0.25, 0.125, 0.0625, 0.03125]
@@ -103,6 +104,12 @@ class TestBoxCount:
         with pytest.raises(ValidationError):
             box_count([(0.1,)], [scale, 0.25])
 
+    @pytest.mark.parametrize("bad", [0.5, np.zeros((2, 2, 2)), [[[0.1]]],
+                                     [[0.1, 0.2], [0.3]], [0.1, (0.2, 0.3)], [["x"]], [{}]])
+    def test_malformed_point_arrays_rejected(self, bad):
+        with pytest.raises(ValidationError, match="points"):
+            box_count(bad, [0.25])
+
     def test_empty_points_rejected(self):
         with pytest.raises(ValueError):
             box_count([], [0.25])
@@ -185,6 +192,78 @@ class TestBoxCount:
         rev = box_count(list(reversed(pts)), DYADIC)
         assert fwd.counts == rev.counts
         assert fwd.points_used == rev.points_used
+
+
+WORKLOAD_SCALES = [2.0 ** -j for j in range(2, 9)]
+
+
+@pytest.fixture
+def sorted_rows_calls(monkeypatch):
+    """The shapes of the arrays box_count sorts by row: its Morton keys,
+    then the float bit patterns when the distinct count falls back."""
+    calls = []
+    real = dim._sorted_rows
+
+    def counting(words):
+        calls.append(words.shape)
+        return real(words)
+
+    monkeypatch.setattr(dim, "_sorted_rows", counting)
+    return calls
+
+
+class TestDistinctCount:
+    """points_used from one uint64 key per row, refereed by a row-unique."""
+
+    @staticmethod
+    def points_used(pts, scales=DYADIC) -> int:
+        curve = box_count(pts, scales)
+        assert (curve.counts, curve.points_used) == box_count_reference(pts, scales)
+        return curve.points_used
+
+    def test_duplicate_rows(self, sorted_rows_calls):
+        rows = np.random.default_rng(7).random((50, 2))
+        assert self.points_used(np.concatenate([rows, rows[::3], rows[:5]])) == 50
+        assert len(sorted_rows_calls) == 2
+
+    def test_rows_sharing_a_key(self, sorted_rows_calls):
+        # at d = 2 a key keeps 32 bits per axis; these rows differ only below
+        x, y = 0.3, 0.6
+        pts = [(x, y), (x + 2.0 ** -40, y), (0.1, 0.2)]
+        assert self.points_used(pts, [0.5, 2.0 ** -63]) == 3
+        assert len(sorted_rows_calls) == 2
+
+    @pytest.mark.parametrize("pts,sorts", [
+        ([(-0.0, 0.5), (0.0, 0.25), (0.5, -0.0)], 1),  # distinct keys
+        ([(-0.0, 0.5), (0.0, 0.5), (0.5, -0.0), (0.5, 0.0)], 2),  # equal keys
+    ])
+    def test_negative_zero_on_both_paths(self, sorted_rows_calls, pts, sorts):
+        assert self.points_used(pts) == len({(a + 0.0, b + 0.0) for a, b in pts})
+        assert len(sorted_rows_calls) == sorts
+
+    def test_one_axis_keys_use_all_64_bits(self, sorted_rows_calls):
+        top = 1 - 2.0 ** -53
+        assert self.points_used([top, 1 - 2.0 ** -52, 0.5, 0.0], [0.5, 2.0 ** -63]) == 4
+        assert len(sorted_rows_calls) == 1
+        assert self.points_used([top, 0.25, top]) == 2
+
+    def test_more_axes_than_key_bits(self, sorted_rows_calls):
+        # d = 65 leaves no key bit per axis: every key is 0, so the exact count runs
+        rows = np.random.default_rng(65).random((30, 65))
+        assert self.points_used(np.concatenate([rows, rows[:4]]), [0.5, 0.25]) == 30
+        assert len(sorted_rows_calls) == 2
+
+    def test_real_orbit_sample_takes_the_key_path(self, sorted_rows_calls):
+        mat = FrequencyMatrix.parse("sqrt(2)-1,pi-3;e-2,cbrt(2)-1")
+        pts = orbit_sample(mat, "real", 20_000)
+        assert self.points_used(pts, WORKLOAD_SCALES) == 20_000
+        assert sorted_rows_calls == [(20_000, 1)]  # the Morton keys only
+
+    def test_rank_one_integer_orbit_falls_back(self, sorted_rows_calls):
+        mat = FrequencyMatrix.parse("pi-3,pi-3;sqrt(2)-1,sqrt(2)-1")
+        pts = orbit_sample(mat, "integer", 20_000)
+        assert self.points_used(pts, WORKLOAD_SCALES) == 281
+        assert sorted_rows_calls == [(20_000, 1), (20_000, 2)]
 
 
 class TestBoxDimensionFit:
