@@ -78,12 +78,6 @@ def step128(scaled: int, bits: int) -> int:
     return (scaled >> (bits - KERNEL_BITS)) % _MOD
 
 
-def _chunk_anchors(scaled: list[int], offsets: list[int], start: int, bits: int) -> list[int]:
-    """Top 128 bits of (scaled*start - offset) mod 2**bits, per coordinate:
-    the anchors of a chunk at start."""
-    return [step128(s * start - t, bits) for s, t in zip(scaled, offsets)]
-
-
 def _anchor_limbs(anchors: list[int]) -> np.ndarray:
     """Many anchors in [0, 2**128) as dot_hi64 takes them: a (3, len) uint64
     array of the limbs v0, v1 and V of each, named as in dot_hi64."""
@@ -116,19 +110,14 @@ def dot_hi64(anchor, steps: list[int], digits: list[np.ndarray]) -> np.ndarray:
     (S + 1) * 2**32 - 1 < 2**64, whose carry out is at most S again; the
     carry into limb 0 is 0.
     """
-    many = isinstance(anchor, np.ndarray)
-    a = anchor if many else _limbs(anchor)
+    a = anchor if isinstance(anchor, np.ndarray) else _limbs(anchor)
     limbs = [_limbs(t) for t in steps]
     # prod first: freed below acc on return, it is reused, not trimmed off
     # the heap top and faulted in again next call (scan-ladder ops took 1.7x
     # the page faults the other way round, on a 2-core x86 VM)
     prod = np.empty_like(digits[0])
-    if many:
-        # adding limb 0 widens acc to the anchors' broadcast shape
-        acc = np.add(a[0], np.multiply(digits[0], limbs[0][0], out=prod))
-    else:
-        acc = np.multiply(digits[0], limbs[0][0])
-        acc += a[0]
+    # adding limb 0 widens acc to the anchors' broadcast shape
+    acc = np.add(a[0], np.multiply(digits[0], limbs[0][0], out=prod))
     for k in range(3):
         if k:
             acc >>= _SHIFT32
@@ -191,33 +180,28 @@ class ResidualKernel:
         self.offsets = [int(t) % self.unit for t in offsets]
         self.steps = [step128(s, bits) for s in self.scaled]
 
-    def _anchors(self, start: int) -> list[int]:
-        return _chunk_anchors(self.scaled, self.offsets, start, self.bits)
+    def _anchors(self, start: int, offsets: list[int]) -> list[int]:
+        """Top 128 bits of (scaled*start - offset) mod 2**bits, per
+        coordinate: the anchors of a chunk at start."""
+        return [step128(s * start - t, self.bits) for s, t in zip(self.scaled, offsets)]
 
     def _exact(self, q: int) -> int:
         """The exact residual of q, in units of 2**-bits."""
         vs = [(s * q - t) % self.unit for s, t in zip(self.scaled, self.offsets)]
         return max(min(v, self.unit - v) for v in vs)
 
-    _coord_dists = staticmethod(_coord_dists)
-
     def _max_dists(self, start: int, idx: np.ndarray) -> np.ndarray:
         out = None
-        for step, anchor in zip(self.steps, self._anchors(start)):
-            d = self._coord_dists(step, anchor, idx)
+        for step, anchor in zip(self.steps, self._anchors(start, self.offsets)):
+            d = _coord_dists(step, anchor, idx)
             out = d if out is None else np.maximum(out, d, out=out)
         return out
 
     def residuals(self, start: int, n: int) -> np.ndarray:
         """uint64 residual array for q = start, start+1, ..., start+n-1."""
         if n >= (1 << 30):
-            raise ValueError("single residual block limited to 2**30 entries; use chunks()")
+            raise ValueError("single residual block limited to 2**30 entries; split by _spans()")
         return self._max_dists(start, np.arange(n, dtype=np.uint64))
-
-    def chunks(self, lo: int, hi: int):
-        """Yield (start, residual_array) covering q in [lo, hi] inclusive."""
-        for start, n in _spans(lo, hi):
-            yield start, self.residuals(start, n)
 
     def residuals_at(self, qs) -> np.ndarray:
         """uint64 residuals for an array of multipliers in [0, 2**30)."""
@@ -230,7 +214,9 @@ class ResidualKernel:
 def _hits(kernel: ResidualKernel, lo: int, hi: int, eps_u64: int):
     """Yield (start, offsets) for each chunk holding a q with residual <= eps."""
     thr = np.uint64(eps_u64)
-    for start, res in kernel.chunks(lo, hi):
+    for start, n in _spans(lo, hi):
+        # res lives until the next is made: freeing each at once took 3.2x the page faults
+        res = kernel.residuals(start, n)
         pos = np.nonzero(res <= thr)[0]
         if len(pos):
             yield start, pos
@@ -248,38 +234,36 @@ def first_solution(kernel: ResidualKernel, lo: int, hi: int, eps_u64: int) -> in
     return next((start + int(pos[0]) for start, pos in _hits(kernel, lo, hi, eps_u64)), None)
 
 
-def lockstep_solutions(scaled: list[int], tagged_offsets, lo: int, hi: int, eps_u64: int,
-                       bits: int = KERNEL_BITS):
+def lockstep_solutions(kernel: ResidualKernel, tagged_offsets, lo: int, hi: int, eps_u64: int):
     """Yield (tag, q) for each (tag, offsets) pair, in the pairs' order, and
     each q in [lo, hi] with residual <= eps, ascending: the q that
-    solutions_in(ResidualKernel(scaled, offsets, bits), lo, hi, eps_u64)
-    returns, for every pair at once.
+    solutions_in(ResidualKernel(kernel.scaled, offsets, kernel.bits), lo,
+    hi, eps_u64) returns, for every pair at once.
 
     The pairs are read lazily, G = max(1, CHUNK // (hi - lo + 1)) at a
     time, so memory is bounded by one block: G pairs, and at most CHUNK
     distances at once. When G > 1 the window is a single span. At each span
     start the block takes one anchor per pair and coordinate, the kernel's
-    own. Coordinate 0 runs on the whole (G, n) block, and each further
+    own, from the offsets as given: step128 gives the same anchor for t and
+    t + k*2**bits, because for bits <= 128 the left shift turns k*2**bits
+    into k*2**128, and for bits > 128 the floor shift subtracts exactly
+    k*2**128. Coordinate 0 runs on the whole (G, n) block, and each further
     coordinate only on the (pair, q) still within eps. A q passes every
     coordinate exactly when its maximum passes, so the same uint64
     distances accept the same q as the kernel's residuals.
     """
-    unit = 1 << bits
-    scaled = [int(s) % unit for s in scaled]
-    steps = [step128(s, bits) for s in scaled]
+    steps = kernel.steps
     thr = np.uint64(eps_u64)
     pairs = iter(tagged_offsets)
     group = max(1, CHUNK // (hi - lo + 1))
     while block := list(itertools.islice(pairs, group)):
-        offsets = [[int(t) % unit for t in offs] for _, offs in block]
         for start, n in _spans(lo, hi):
-            anchors = _anchor_limbs([a for offs in offsets
-                                     for a in _chunk_anchors(scaled, offs, start, bits)])
-            anchors = anchors.reshape(3, len(block), len(scaled))
+            anchors = _anchor_limbs([a for _, offs in block for a in kernel._anchors(start, offs)])
+            anchors = anchors.reshape(3, len(block), len(steps))
             d = _coord_dists(steps[0], anchors[:, :, 0, None], np.arange(n, dtype=np.uint64))
             # flat indices ascend in (pair, q) order; 2-D nonzero took 4x as long
             rows, pos = np.divmod(np.flatnonzero(d <= thr), n)
-            for c in range(1, len(scaled)):
+            for c in range(1, len(steps)):
                 d = _coord_dists(steps[c], anchors[:, rows, c], pos.view(np.uint64))
                 keep = np.flatnonzero(d <= thr)
                 rows, pos = rows[keep], pos[keep]
@@ -307,13 +291,13 @@ def record_lows(kernel: ResidualKernel, lo: int, hi: int) -> tuple[np.ndarray, n
     step0, *rest = kernel.steps
     idx = np.arange(min(CHUNK, hi - lo + 1), dtype=np.uint64)  # the first span is longest
     for start, n in _spans(lo, hi):
-        anchor0, *anchors = kernel._anchors(start)
-        d0 = kernel._coord_dists(step0, anchor0, idx[:n])
+        anchor0, *anchors = kernel._anchors(start, kernel.offsets)
+        d0 = _coord_dists(step0, anchor0, idx[:n])
         pos = np.flatnonzero(d0 < best + 2 * _SLACK)
         res = d0[pos]
         survivors = pos.view(np.uint64)  # nonnegative, so the same values
         for step, anchor in zip(rest, anchors):
-            np.maximum(res, kernel._coord_dists(step, anchor, survivors), out=res)
+            np.maximum(res, _coord_dists(step, anchor, survivors), out=res)
         # run[i] is the lowest residual before survivor i, best included
         run = np.minimum.accumulate(np.concatenate(([best], res)))
         for i in np.flatnonzero(res < run[:-1] + 2 * _SLACK).tolist():

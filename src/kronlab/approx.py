@@ -26,7 +26,7 @@ import numpy as np
 
 from . import _fixedpoint as fx
 from .errors import InsufficientDataError, KronlabError, RationalFrequencyError, ValidationError
-from .torus import FrequencyTuple, PrecisionReal, _check_window, frac_mult, torus_norm
+from .torus import FrequencyTuple, PrecisionReal, _as_int, _check_window, frac_mult, torus_norm
 
 
 def _kernel_for(freq: FrequencyTuple, target=None) -> fx.ResidualKernel:
@@ -42,7 +42,10 @@ def dirichlet_search(freq: FrequencyTuple, Q) -> int:
     irrational, since it beats the witness that guarantee promises. One
     frequency is answered by its largest convergent denominator <= Q.
     """
-    n = math.floor(Fraction(Q))
+    try:
+        n = math.floor(Fraction(Q))
+    except (OverflowError, ValueError):
+        raise ValidationError(f"Q={Q!r} is not a finite number") from None
     _check_window(freq.q_max, 1, n, "search window")
     return _record_lows(freq, n)[-1]
 
@@ -186,6 +189,7 @@ def _power_floors(beta):
 def convergent_sequence(freq: FrequencyTuple, beta, K: int) -> ConvergentSequence:
     if not 1 < beta < math.inf:
         raise ValidationError(f"beta must be finite and exceed 1, got {beta}")
+    K = _as_int(K, "level count K")
     if K < 1:
         raise ValidationError(f"need K >= 1 levels, got {K}")
     m = len(freq)
@@ -241,6 +245,8 @@ def verify_sequence_properties(seq: ConvergentSequence, nu: float = 0.0,
     max_N (sum_{k>=N} q_k^-eta) q_N^eta / N; and a geometric sandwich
     A*gamma_low^k <= q_k <= A*gamma_high^k around the fitted growth rate.
     """
+    if not (math.isfinite(nu) and math.isfinite(eta)):
+        raise ValidationError(f"nu and eta must be finite numbers, got {nu} and {eta}")
     dens = seq.denominators
     if len(dens) < 3:
         raise ValidationError("diagnostics need at least 3 levels")
@@ -295,8 +301,7 @@ def estimate_diophantine_order(freq: FrequencyTuple, q_max: int) -> DiophantineO
     law is an actual lower bound on the whole envelope, hence on every q
     up to q_max.
     """
-    q_max = int(q_max)
-    _check_window(freq.q_max, 1, q_max, "scan window")
+    _, q_max = _check_window(freq.q_max, 1, q_max, "scan window")
     m = len(freq)
     qs = _record_lows(freq, q_max)
     support = list(zip(qs, _nonzero_residuals(freq, qs)))

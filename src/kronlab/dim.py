@@ -155,9 +155,14 @@ def box_count(points, scales) -> BoxCountCurve:
     plus the number of prefix changes between neighbours. points_used is
     the exact number of distinct points (_distinct_rows).
     """
-    # ragged rows, and entries that are not numbers, fail the conversion
+    # ragged rows, and entries that are not numbers, fail the conversion; text
+    # would convert and complex lose its imaginary part, so both are refused first
     try:
-        arr = np.asarray(points, dtype=float)
+        arr = np.asarray(points)
+        if arr.dtype.kind not in "biufO" or (arr.dtype.kind == "O" and any(
+                isinstance(x, (str, bytes, complex)) for x in arr.flat)):
+            raise TypeError(f"entries of {arr.dtype} are not real numbers")
+        arr = arr.astype(float, copy=False)
     except (TypeError, ValueError) as exc:
         raise ValidationError(f"points are not an (N, d) array of numbers: {exc}") from None
     if arr.ndim not in (1, 2):
@@ -305,6 +310,6 @@ def holder_bound(di_base: float, alpha: float) -> float:
     """Dimension ceiling after composing with an alpha-Holder map."""
     if not 0.0 < alpha <= 1.0:
         raise ValidationError(f"alpha must lie in (0, 1], got {alpha}")
-    if di_base < 0:
-        raise ValidationError(f"base dimension must be nonnegative, got {di_base}")
+    if not 0 <= di_base < math.inf:
+        raise ValidationError(f"base dimension must be finite and nonnegative, got {di_base}")
     return di_base / alpha

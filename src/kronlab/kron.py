@@ -30,6 +30,7 @@ from .torus import (
     FrequencyTuple,
     PrecisionReal,
     TorusPoint,
+    _as_int,
     _check_window,
     frac_mult,
     frac_to_unit_float,
@@ -67,8 +68,7 @@ class KroneckerInstance:
 
 def solve_in_interval(inst: KroneckerInstance, a: int, b: int) -> int | None:
     """Smallest integer q in [a, b] solving the instance, or None."""
-    a, b = int(a), int(b)
-    _check_window(inst.frequency.q_max, a, b)
+    a, b = _check_window(inst.frequency.q_max, a, b)
     kernel = _kernel_for(inst.frequency, inst.target)
     return fx.first_solution(kernel, a, b, fx.eps_to_u64(inst.epsilon))
 
@@ -92,8 +92,7 @@ class GapScan:
 
 
 def gap_scan(inst: KroneckerInstance, a: int, b: int) -> GapScan:
-    a, b = int(a), int(b)
-    _check_window(inst.frequency.q_max, a, b)
+    a, b = _check_window(inst.frequency.q_max, a, b)
     kernel = _kernel_for(inst.frequency, inst.target)
     sols = fx.solutions_in(kernel, a, b, fx.eps_to_u64(inst.epsilon))
     if len(sols) < 2:
@@ -253,6 +252,8 @@ def _check_k0(seq: ConvergentSequence, k0: int) -> None:
 
 def greedy_almost_period(seq: ConvergentSequence, target, k0: int) -> AlmostPeriod:
     _check_k0(seq, k0)
+    if isinstance(target, float) and not math.isfinite(target):
+        raise ValidationError(f"target {target} is not a finite number")
     dens = seq.denominators
     goal = target if isinstance(target, (int, float)) else Fraction(target)
     sign = -1 if goal < 0 else 1
@@ -389,7 +390,7 @@ class FrequencyMatrix:
 
     def apply(self, vector) -> TorusPoint:
         """Exact image of an integer vector on the torus."""
-        vector = [int(v) for v in vector]
+        vector = [_as_int(v, "vector coordinate") for v in vector]
         if len(vector) != self.n:
             raise ValidationError(f"vector length {len(vector)} != n={self.n}")
         _check_window(self.q_max, min(vector), max(vector), "vector coordinate range")
@@ -449,20 +450,18 @@ def matrix_solution_scan(matrix: FrequencyMatrix, target: TorusPoint, epsilon: f
     _check_epsilon(epsilon)
     if len(target) != matrix.m:
         raise ValidationError(f"target dimension {len(target)} != m={matrix.m}")
-    box = [(int(lo), int(hi)) for lo, hi in box]
+    box = list(box)
     if len(box) != matrix.n:
         raise ValidationError(f"box has {len(box)} axes for n={matrix.n} columns")
-    volume = 1
-    for lo, hi in box:
-        _check_window(matrix.q_max, lo, hi, "box axis")
-        volume *= hi - lo + 1
+    box = [_check_window(matrix.q_max, lo, hi, "box axis") for lo, hi in box]
+    volume = math.prod(hi - lo + 1 for lo, hi in box)
     if volume > budget:
         raise BudgetExceededError(
             f"box volume {volume} exceeds the scan budget {budget}"
         )
 
     last_lo, last_hi = box[-1]
-    last = [row[-1].scaled for row in matrix.rows]
+    kernel = fx.ResidualKernel([row[-1].scaled for row in matrix.rows], bits=matrix.bits)
     theta = [fx.to_scaled(x, matrix.bits) for x in target]
     eps_u64 = fx.eps_to_u64(epsilon)
 
@@ -472,8 +471,7 @@ def matrix_solution_scan(matrix: FrequencyMatrix, target: TorusPoint, epsilon: f
                         for row, t in zip(matrix.rows, theta)]
 
     prefixes = itertools.product(*(range(lo, hi + 1) for lo, hi in box[:-1]))
-    hits = fx.lockstep_solutions(last, map(folded, prefixes), last_lo, last_hi, eps_u64,
-                                 matrix.bits)
+    hits = fx.lockstep_solutions(kernel, map(folded, prefixes), last_lo, last_hi, eps_u64)
     return [prefix + (q,) for prefix, q in hits]
 
 
@@ -504,7 +502,7 @@ def orbit_sample(matrix: FrequencyMatrix, lattice: str, count: int,
         raise ValidationError(f"lattice must be 'integer' or 'real', got {lattice!r}")
     if step is not None and not math.isfinite(step):
         raise ValidationError(f"step {step} is not a finite number")
-    count = int(count)
+    count = _as_int(count, "count")
     if count < 1:
         raise ValidationError(f"count must be positive, got {count}")
     n = matrix.n

@@ -195,13 +195,27 @@ def precision_budget(reals, q_max: int | None) -> tuple[int, int]:
     return bits, q_max
 
 
-def _check_window(q_max: int, lo: int, hi: int, what: str = "window"):
-    """Refuse an empty window [lo, hi] with ValidationError, and one that
-    reaches past q_max in either sign with PrecisionBudgetError."""
+def _as_int(x, what: str) -> int:
+    """int(x), refusing NaN and infinities with ValidationError."""
+    try:
+        return int(x)
+    except (OverflowError, ValueError):
+        raise ValidationError(f"{what} {x!r} is not a finite number") from None
+
+
+def _check_window(q_max: int, lo, hi, what: str = "window") -> tuple[int, int]:
+    """The window [lo, hi], its ends converted by int(). Refuses an end that
+    is not a finite number and an empty window with ValidationError, and a
+    window that reaches past q_max in either sign with PrecisionBudgetError."""
+    try:
+        lo, hi = int(lo), int(hi)
+    except (OverflowError, ValueError):
+        raise ValidationError(f"{what} [{lo}, {hi}] has an end that is not finite") from None
     if lo > hi:
         raise ValidationError(f"empty {what} [{lo}, {hi}]")
     if hi > q_max or -lo > q_max:
         raise PrecisionBudgetError(f"{what} [{lo}, {hi}] exceeds the precision budget q_max={q_max}")
+    return lo, hi
 
 
 class FrequencyTuple:
@@ -304,8 +318,7 @@ def frac_mult(freq, q: int) -> TorusPoint:
     """
     if isinstance(freq, PrecisionReal):
         freq = FrequencyTuple([freq])
-    q = int(q)
-    _check_window(freq.q_max, q, q, "multiplier")
+    q, _ = _check_window(freq.q_max, q, q, "multiplier")
     coords = []
     for c in freq.components:
         v = (c.scaled * q) % (1 << c.bits)

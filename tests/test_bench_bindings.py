@@ -32,6 +32,16 @@ def test_tracer_installs_and_kernel_block_runs(monkeypatch):
     assert layers["fixedpoint.record_lows.busy_s"] > 0
     assert K.gap_scan is original
 
+    # first_solution's own path to the counted binding, with nothing else traced
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+        inst = K.KroneckerInstance(freq, K.TorusPoint([0.3, 0.7]), 0.01)
+        K.solve_in_interval(inst, 0, 5000)
+    finally:
+        tracer.uninstall()
+    assert tracing.layer_metrics(tracer)["fixedpoint.residuals.q_per_s.m2"] > 0
+
     monkeypatch.setattr(worker, "BLOCK", 1 << 10)
     monkeypatch.setattr(worker, "BLOCK_REPS", 2)
     rates = worker.kernel_block(K, fx, ["sqrt(2)-1", "pi-3", "e-2"], 1)

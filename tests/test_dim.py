@@ -105,7 +105,9 @@ class TestBoxCount:
             box_count([(0.1,)], [scale, 0.25])
 
     @pytest.mark.parametrize("bad", [0.5, np.zeros((2, 2, 2)), [[[0.1]]],
-                                     [[0.1, 0.2], [0.3]], [0.1, (0.2, 0.3)], [["x"]], [{}]])
+                                     [[0.1, 0.2], [0.3]], [0.1, (0.2, 0.3)], [["x"]], [{}],
+                                     np.array([0.5 + 0j]), [b"0.5"], np.array(["0.5"]),
+                                     np.array(["0.5"], dtype=object)])
     def test_malformed_point_arrays_rejected(self, bad):
         with pytest.raises(ValidationError, match="points"):
             box_count(bad, [0.25])

@@ -256,7 +256,7 @@ def test_filtered_record_lows_equal_brute_force(m, chunk, case):
     hi = lo + rng.randrange(100, 300)
     kernel = fx.ResidualKernel(steps, offsets)
     evaluated = []
-    coord_dists = kernel._coord_dists
+    coord_dists = fx._coord_dists
 
     def counting(step, anchor, idx):
         evaluated.append((step, len(idx)))
@@ -264,7 +264,7 @@ def test_filtered_record_lows_equal_brute_force(m, chunk, case):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(fx, "CHUNK", chunk)
-        mp.setattr(kernel, "_coord_dists", counting)
+        mp.setattr(fx, "_coord_dists", counting)
         qs, ds = fx.record_lows(kernel, lo, hi)
     assert list(zip(qs.tolist(), ds.tolist())) == ref_record_lows(steps, offsets, lo, hi)
     # the other coordinates run on the survivors of coordinate 0 only
@@ -295,12 +295,14 @@ def test_residual_block_size_guard():
         kernel.residuals(0, 1 << 30)
 
 
-def test_chunks_cover_range_once():
-    kernel = fx.ResidualKernel([987654321987654321], [0])
-    total = 0
-    expect = 0
-    for start, res in kernel.chunks(0, 3 * fx.CHUNK + 17):
-        assert start == expect
-        total += len(res)
-        expect = start + len(res)
-    assert total == 3 * fx.CHUNK + 18
+@pytest.mark.parametrize("lo, hi", [
+    (0, 3 * fx.CHUNK + 17), (-fx.CHUNK - 5, fx.CHUNK), (-7, -3), (5, 5), (1 << 70, (1 << 70) + 40),
+    (5, 4), (0, -fx.CHUNK),
+])
+def test_spans_cover_range_once(lo, hi):
+    spans = list(fx._spans(lo, hi))
+    covered = [q for start, n in spans for q in range(start, start + n)]
+    assert covered == list(range(lo, hi + 1))
+    assert all(0 < n <= fx.CHUNK for _, n in spans)
+    # the first span is longest, so a scan can size its buffers by it
+    assert all(n <= spans[0][1] for _, n in spans)
