@@ -21,6 +21,8 @@ from fractions import Fraction
 
 import numpy as np
 
+from .errors import ValidationError
+
 KERNEL_BITS = 128
 _MOD = 1 << KERNEL_BITS
 _SHIFT32 = np.uint64(32)
@@ -32,13 +34,22 @@ _GRID = 1 << 53
 _GRID_F = float(_GRID)
 
 
+def exact(value) -> Fraction:
+    """A real from outside (float, int, Fraction, decimal text) as a Fraction;
+    NaN, infinities and what is not a number are refused with ValidationError."""
+    try:
+        return Fraction(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValidationError(f"{value!r} is not a finite real number: {exc}") from None
+
+
 def to_scaled(value, bits: int) -> int:
     """Nearest multiple of 2**-bits, as the integer round(value * 2**bits).
 
-    Accepts anything Fraction accepts (float, int, Fraction, decimal text).
-    Exact: Fraction.__round__ is round-half-even on exact rationals.
+    Accepts what exact() accepts; a finite value converts exactly, since
+    Fraction.__round__ is round-half-even on exact rationals.
     """
-    return round(Fraction(value) * (1 << bits))
+    return round(exact(value) * (1 << bits))
 
 
 def round_shift(v: int, s: int) -> int:

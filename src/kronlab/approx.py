@@ -42,10 +42,7 @@ def dirichlet_search(freq: FrequencyTuple, Q) -> int:
     irrational, since it beats the witness that guarantee promises. One
     frequency is answered by its largest convergent denominator <= Q.
     """
-    try:
-        n = math.floor(Fraction(Q))
-    except (OverflowError, ValueError):
-        raise ValidationError(f"Q={Q!r} is not a finite number") from None
+    n = math.floor(fx.exact(Q))
     _check_window(freq.q_max, 1, n, "search window")
     return _record_lows(freq, n)[-1]
 

@@ -27,8 +27,8 @@ import click
 
 from . import __version__
 from .approx import convergent_sequence, verify_sequence_properties
-from .dim import (box_count, box_dimension_fit, diophantine_dimension_fit, holder_bound,
-                  lower_bound, theoretical_bounds)
+from .dim import (box_count, box_dimension_fit, check_alpha, diophantine_dimension_fit,
+                  holder_bound, lower_bound, theoretical_bounds)
 from .errors import (
     BoundUndefinedError,
     BudgetExceededError,
@@ -413,6 +413,7 @@ def _run_orbit(matrix: str, lattice: str, count: int, step: float | None,
 def _run_bounds(m: int, n: int, nu: float, d: float | None, alpha: float,
                 out: str, fmt: str):
     """Evaluate the theoretical dimension bracket."""
+    check_alpha(alpha)  # holder_bound would check it only under a defined upper
     inputs, limits = _bound_bracket(m, n, nu, d)
     payload = {"inputs": {**inputs, "alpha": alpha}, **limits}
     upper = payload["upper"]

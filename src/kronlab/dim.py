@@ -22,7 +22,7 @@ import numpy as np
 from .errors import BoundUndefinedError, InsufficientDataError, ValidationError
 
 SATURATION = 0.98
-# finest box-count scale is 2**-MAX_SCALE_BITS: cell indices stay below 2**63
+# finest box-count scale is 2**-MAX_SCALE_BITS; box_count's key cells stay below 2**64
 MAX_SCALE_BITS = 63
 _ALL64 = (1 << 64) - 1
 
@@ -57,6 +57,10 @@ class DimensionEstimate:
 
 def _check_dyadic(scale: float) -> int:
     """The level j of a scale within 1e-12 of 2**-j in log2."""
+    # numpy's complex would pass the range test and lose its imaginary part in
+    # log2; Python's complex, text and None fail it with TypeError (see box_count)
+    if np.iscomplexobj(scale):
+        raise ValidationError(f"scale {scale!r} is not a real number")
     # the range test comes first: log2 refuses 0 and negatives, and NaN fails it
     if not (0 < scale <= 0.5 and abs((j := -math.log2(scale)) - round(j)) <= 1e-12):
         raise ValidationError(f"scale {scale} is not a dyadic fraction <= 1/2")
@@ -92,49 +96,28 @@ def _morton_words(cells: np.ndarray, levels: int) -> np.ndarray:
     the top d*j bits of a key name the row's cell at scale 2**-j. The
     d*levels-bit key is stored big-endian in ceil(d*levels/64) uint64
     words, zero-padded at the bottom: key bit b is bit 63 - b % 64 of
-    word b // 64. Each cell bit is shifted straight into its place.
+    word b // 64. An axis's bits in one word are one field of its cell,
+    levels lo..hi, spread to stride d by binary magic numbers (Anderson,
+    "Bit Twiddling Hacks"): each step splits blocks of 2k field bits in
+    halves, moves the upper halves up by k*(d - 1) and masks off the
+    lower halves' copies, so field bit i ends at bit i*d.
     """
     n, d = cells.shape
     words = np.zeros((n, -(-d * levels // 64)), dtype=np.uint64)
-    for b in range(d * levels):
-        src, dst = levels - 1 - b // d, 63 - b % 64
-        bit = cells[:, b % d] & np.uint64(1 << src)
-        words[:, b // 64] |= (bit << np.uint64(dst - src) if dst >= src
-                              else bit >> np.uint64(src - dst))
+    for w in range(words.shape[1]):
+        for a in range(d):
+            # level l of axis a is key bit l*d + a, in word w when in [64w, 64w + 64)
+            lo, hi = max(0, -((a - 64 * w) // d)), min(levels - 1, (64 * w + 63 - a) // d)
+            if lo > hi:
+                continue
+            field = (cells[:, a] << np.uint64(64 - levels + lo)) >> np.uint64(63 - hi + lo)
+            k = 1 << (hi - lo).bit_length() if d > 1 else 1
+            while k > 1:
+                k >>= 1
+                field |= field << np.uint64(k * (d - 1))
+                field &= np.uint64(sum(1 << (i // k * k * d + i % k) for i in range(hi - lo + 1)))
+            words[:, w] |= field << np.uint64(63 - (hi * d + a - 64 * w))
     return words
-
-
-def _distinct_rows(arr: np.ndarray) -> int:
-    """The number of distinct rows of an (N, d) float array in [0, 1).
-
-    Each row gets one uint64 key: its cells floor(x * 2**b) at
-    b = floor(64 / d) bits per axis, concatenated with column 0 on top.
-    The key is a function of the row, and exactly so: x * 2**b is exact,
-    since scaling by a power of two is, and its floor is below
-    2**b <= 2**64, so the cast to uint64 is exact too; -0.0 and 0.0,
-    equal as points, both give cell 0. So equal rows have equal keys, and
-    if no two sorted keys are equal the N rows are distinct. Otherwise
-    the keys are freed and the rows counted exactly, by a sort of their
-    float bit patterns. For d > 64, b = 0 and every key is 0, so that
-    exact count always runs.
-    """
-    n, d = arr.shape
-    b = 64 // d
-    scale = float(1 << b)
-    # the cast truncates, which is the floor on [0, 1); starting from
-    # column 0 never shifts a nonzero key by 64 when d = 1
-    keys = (arr[:, 0] * scale).astype(np.uint64)
-    for k in range(1, d):
-        keys <<= np.uint64(b)
-        keys |= (arr[:, k] * scale).astype(np.uint64)
-    keys.sort()
-    if not (keys[1:] == keys[:-1]).any():
-        return n
-    del keys
-    # + 0.0 maps -0.0 onto 0.0, which compares equal to it but has
-    # another bit pattern
-    patterns = _sorted_rows((arr + 0.0).view(np.uint64))
-    return 1 + _prefix_changes(patterns[1:] ^ patterns[:-1], 64 * d)
 
 
 def box_count(points, scales) -> BoxCountCurve:
@@ -148,12 +131,18 @@ def box_count(points, scales) -> BoxCountCurve:
     the dyadic grid tiles the torus exactly, so cell index floor(x / eps)
     is both the Euclidean and the torus assignment.
 
-    One sort serves every scale (Liebovitch & Toth 1989): each point's
-    finest cell is bit-interleaved into a Morton key (Morton 1966) by
-    shifts, the cell at a coarser scale 2**-j is the key's top d*j bits,
-    and sorted keys stay sorted under truncation, so each count is 1
-    plus the number of prefix changes between neighbours. points_used is
-    the exact number of distinct points (_distinct_rows).
+    One key and one sort serve every scale and points_used (Liebovitch &
+    Toth 1989). Each point's cell at 2**-top, top = max(J, 64 // d) for
+    the finest requested level J, is bit-interleaved into a Morton key
+    (Morton 1966); its top d*j bits name the cell at 2**-j, and sorted
+    keys stay sorted under truncation, so each count is 1 plus the number
+    of prefix changes between neighbours. x * 2**top is exact and its
+    floor below 2**top <= 2**64, so the cast to uint64 is exact, and -0.0
+    and 0.0 both give cell 0: equal points have equal keys, and N distinct
+    keys mean N distinct points. Otherwise the keys are freed and the
+    points counted exactly, by a sort of their float bit patterns. The key
+    keeps at least 64 // d bits per axis; for d > 64 that is none, top = J,
+    and the exact count decides.
     """
     # ragged rows, and entries that are not numbers, fail the conversion; text
     # would convert and complex lose its imaginary part, so both are refused first
@@ -172,19 +161,28 @@ def box_count(points, scales) -> BoxCountCurve:
         raise ValidationError("empty point set")
     if not ((arr >= 0.0) & (arr < 1.0)).all():
         raise ValidationError("box_count needs coordinates in [0, 1)")
-    levels = sorted({_check_dyadic(e) for e in scales})
+    try:
+        levels = sorted({_check_dyadic(e) for e in scales})
+    except TypeError as exc:
+        raise ValidationError(f"scales are not real numbers: {exc}") from None
     if not levels:
         raise ValidationError("no scales given")
-    d = arr.shape[1]
-    # x * 2**J is exact and below 2**J <= 2**63, so the cast is exact
-    cells = np.floor(arr * float(1 << levels[-1])).astype(np.uint64)
-    keys = _sorted_rows(_morton_words(cells, levels[-1]))
+    n, d = arr.shape
+    top = max(levels[-1], 64 // d)
+    # the cells are freed once the words are built, the words once sorted
+    keys = _sorted_rows(_morton_words(np.floor(arr * float(1 << top)).astype(np.uint64), top))
     flips = keys[1:] ^ keys[:-1]
     counts = [1 + _prefix_changes(flips, d * j) for j in levels]
+    if not flips.any(axis=1).all():
+        del keys, flips
+        # + 0.0 maps -0.0 onto 0.0, which compares equal to it but has
+        # another bit pattern
+        patterns = _sorted_rows((arr + 0.0).view(np.uint64))
+        n = 1 + _prefix_changes(patterns[1:] ^ patterns[:-1], 64 * d)
     return BoxCountCurve(
         scales=tuple(2.0 ** -j for j in levels),
         counts=tuple(counts),
-        points_used=_distinct_rows(arr),
+        points_used=n,
         ambient_dim=d,
     )
 
@@ -306,10 +304,15 @@ def theoretical_bounds(m: int, n: int, nu: float, d: float) -> BoundBracket:
     return BoundBracket(lower=lower_bound(n, d), upper=upper, inputs=(m, n, nu, d))
 
 
-def holder_bound(di_base: float, alpha: float) -> float:
-    """Dimension ceiling after composing with an alpha-Holder map."""
+def check_alpha(alpha: float) -> None:
+    """Refuse a Holder exponent outside (0, 1], NaN included."""
     if not 0.0 < alpha <= 1.0:
         raise ValidationError(f"alpha must lie in (0, 1], got {alpha}")
+
+
+def holder_bound(di_base: float, alpha: float) -> float:
+    """Dimension ceiling after composing with an alpha-Holder map."""
+    check_alpha(alpha)
     if not 0 <= di_base < math.inf:
         raise ValidationError(f"base dimension must be finite and nonnegative, got {di_base}")
     return di_base / alpha

@@ -18,7 +18,6 @@ import bisect
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -252,10 +251,11 @@ def _check_k0(seq: ConvergentSequence, k0: int) -> None:
 
 def greedy_almost_period(seq: ConvergentSequence, target, k0: int) -> AlmostPeriod:
     _check_k0(seq, k0)
-    if isinstance(target, float) and not math.isfinite(target):
-        raise ValidationError(f"target {target} is not a finite number")
     dens = seq.denominators
-    goal = target if isinstance(target, (int, float)) else Fraction(target)
+    # ints and finite floats are compared as they are, which is cheaper than as
+    # Fractions; exact() converts the rest and refuses NaN, infinities and text
+    finite = isinstance(target, int) or isinstance(target, float) and math.isfinite(target)
+    goal = target if finite else fx.exact(target)
     sign = -1 if goal < 0 else 1
     # the denominators are integers, so floor((|goal| - n) / q) and every
     # comparison with a denominator hold on the floor; below q_{k0}, tau = 0
@@ -500,8 +500,8 @@ def orbit_sample(matrix: FrequencyMatrix, lattice: str, count: int,
     """
     if lattice not in ("integer", "real"):
         raise ValidationError(f"lattice must be 'integer' or 'real', got {lattice!r}")
-    if step is not None and not math.isfinite(step):
-        raise ValidationError(f"step {step} is not a finite number")
+    if step is not None:
+        fx.exact(step)  # refused even on the integer lattice, which ignores it
     count = _as_int(count, "count")
     if count < 1:
         raise ValidationError(f"count must be positive, got {count}")

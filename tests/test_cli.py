@@ -254,6 +254,11 @@ class TestBounds:
     def test_invalid_inputs_exit(self, tmp_path):
         assert run("bounds", "--m", 0, "--out", tmp_path).exit_code == 2
 
+    def test_alpha_checked_when_upper_is_undefined(self, tmp_path):
+        r = run("bounds", "--m", 3, "--nu", 0.6, "--alpha", 7, "--out", tmp_path / "out")
+        assert r.exit_code == 2
+        assert not (tmp_path / "out").exists()
+
 
 class TestAlmostPeriod:
     def test_files_and_consistency(self, tmp_path):
@@ -406,13 +411,16 @@ SWEEP_BASE = {
     "orbit": ["orbit", "--matrix", "1;sqrt(2)", "--lattice", "real", "--count", 64,
               "--scales", "0.25,0.125,0.0625,0.03125"],
     "bounds": ["bounds", "--m", 2],
+    # nu * (m - 1) = 1: the upper bound is undefined, and alpha must still be checked
+    "bounds-undefined": ["bounds", "--m", 3, "--nu", 0.5],
     "almost-period": ["almost-period", "--freq", "golden-1", "--k", 12, "--k0", 3,
                       "--targets", "97"],
 }
 SWEEP_OPTIONS = [("convergents", "--beta"), ("scan", "--seed-factor"),
                  ("dimension", "--nu"), ("dimension", "--d"), ("dimension", "--seed-factor"),
                  ("orbit", "--step"), ("bounds", "--nu"), ("bounds", "--d"),
-                 ("bounds", "--alpha"), ("almost-period", "--beta"), ("almost-period", "--nu")]
+                 ("bounds", "--alpha"), ("bounds-undefined", "--alpha"),
+                 ("almost-period", "--beta"), ("almost-period", "--nu")]
 
 
 def _refuse_constant(name):

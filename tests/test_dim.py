@@ -99,10 +99,15 @@ class TestBoxCount:
         with pytest.raises(ValueError):
             box_count([(0.1,)], [0.75])
 
-    @pytest.mark.parametrize("scale", [0.0, -0.25, math.nan])
+    @pytest.mark.parametrize("scale", [0.0, -0.25, math.nan, "0.25", b"0.25", 0.25j,
+                                       np.complex128(0.25), None])
     def test_nonpositive_or_nan_scale_is_validation_error(self, scale):
         with pytest.raises(ValidationError):
             box_count([(0.1,)], [scale, 0.25])
+
+    def test_scales_none_is_validation_error(self):
+        with pytest.raises(ValidationError, match="scales"):
+            box_count([(0.1,)], None)
 
     @pytest.mark.parametrize("bad", [0.5, np.zeros((2, 2, 2)), [[[0.1]]],
                                      [[0.1, 0.2], [0.3]], [0.1, (0.2, 0.3)], [["x"]], [{}],
@@ -159,9 +164,11 @@ class TestBoxCount:
             curve = box_count(rows, scales)
             assert (curve.counts, curve.points_used) == want
 
-    # d * levels = 1, 63, 64, 65, 66, 128, 129, 189 and 189 key bits
+    # d * levels = 1, 63, 64, 65, 66, 128, 129, 189, 189, 64, 133, 130 and 210 key
+    # bits; at d = 65 and 70 some axes have no bit in some words
     @pytest.mark.parametrize("d,levels", [(1, 1), (1, 63), (2, 32), (5, 13), (2, 33),
-                                          (3, 22), (4, 32), (3, 43), (3, 63)])
+                                          (3, 22), (4, 32), (3, 43), (3, 63), (1, 64),
+                                          (7, 19), (65, 2), (70, 3)])
     def test_morton_words_match_int_interleave(self, d, levels):
         rng = np.random.default_rng(d * 100 + levels)
         cells = rng.integers(0, 1 << levels, size=(40, d), dtype=np.uint64)
@@ -228,12 +235,16 @@ class TestDistinctCount:
         assert self.points_used(np.concatenate([rows, rows[::3], rows[:5]])) == 50
         assert len(sorted_rows_calls) == 2
 
+    # at d = 2 a key keeps max(J, 32) levels per axis; these rows differ only below 32
+    SHARED_KEY_ROWS = [(0.3, 0.6), (0.3 + 2.0 ** -40, 0.6), (0.1, 0.2)]
+
     def test_rows_sharing_a_key(self, sorted_rows_calls):
-        # at d = 2 a key keeps 32 bits per axis; these rows differ only below
-        x, y = 0.3, 0.6
-        pts = [(x, y), (x + 2.0 ** -40, y), (0.1, 0.2)]
-        assert self.points_used(pts, [0.5, 2.0 ** -63]) == 3
+        assert self.points_used(self.SHARED_KEY_ROWS, [0.5, 2.0 ** -32]) == 3
         assert len(sorted_rows_calls) == 2
+
+    def test_finest_scale_keys_separate_the_same_rows(self, sorted_rows_calls):
+        assert self.points_used(self.SHARED_KEY_ROWS, [0.5, 2.0 ** -63]) == 3
+        assert len(sorted_rows_calls) == 1
 
     @pytest.mark.parametrize("pts,sorts", [
         ([(-0.0, 0.5), (0.0, 0.25), (0.5, -0.0)], 1),  # distinct keys

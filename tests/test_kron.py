@@ -911,6 +911,10 @@ NON_FINITE_ARGUMENTS = {
     "verify_sequence_properties eta": lambda x: kronlab.verify_sequence_properties(
         NON_FINITE_SEQ, eta=x),
     "holder_bound": lambda x: kronlab.holder_bound(x, 1.0),
+    "PrecisionReal.from_value": lambda x: PrecisionReal.from_value(x),
+    "TorusPoint.from_values": lambda x: TorusPoint.from_values([0.25, x]),
+    "orbit_sample step": lambda x: orbit_sample(
+        FrequencyMatrix.parse("sqrt(2)-1"), "integer", 4, x),
 }
 
 
@@ -919,6 +923,13 @@ NON_FINITE_ARGUMENTS = {
 def test_non_finite_arguments_refused(name, value):
     with pytest.raises(ValidationError):
         NON_FINITE_ARGUMENTS[name](value)
+
+
+@pytest.mark.parametrize("text", ["nan", "inf", "-inf", "x"])
+@pytest.mark.parametrize("name", ["greedy_almost_period", "orbit_sample step"])
+def test_text_that_is_no_finite_number_refused(name, text):
+    with pytest.raises(ValidationError):
+        NON_FINITE_ARGUMENTS[name](text)
 
 
 def test_finite_float_arguments_convert_like_int():
